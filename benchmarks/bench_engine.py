@@ -8,6 +8,9 @@ that indirection is bounded here: the *pre-refactor* instrumented
 executor loop is frozen verbatim below (commit e934dff) as the
 reference, both run the frozen seed workload (16-layer dense/ReLU net,
 Revolve c=3), and the paired per-round ratio must stay under 1.05x.
+
+The compiled sim path is timed against the checked interpreter loop the
+VM ran before it always compiled, frozen in ``tests/vm_reference.py``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.checkpointing.actions import ActionKind
 from repro.engine import SimBackend, compile_schedule, execute
 from repro.errors import ExecutionError
 from repro.obs import get_tracer
+from tests.vm_reference import reference_execute
 
 DEPTH = 16
 WIDTH = 192
@@ -37,7 +41,7 @@ MAX_RATIO = 1.05
 
 # Compiled sim-path gate: a warm CompiledProgram (the common case — the
 # program cache hands the same object to every ρ probe) must beat the
-# interpreted action loop by at least MIN_SPEEDUP; 10x is the target.
+# frozen interpreter loop by at least MIN_SPEEDUP; 10x is the target.
 SIM_DEPTH = 256
 SIM_SLOTS = 8
 MIN_SPEEDUP = 5.0
@@ -237,16 +241,16 @@ def test_compiled_sim_speedup(outdir, bench_json):
 
     # Identical stats first — the vectorized path is only a speedup if it
     # is also bit-identical to the interpreted loop.
-    assert execute(sch, SimBackend(spec), compiled=program) == execute(
+    assert execute(sch, SimBackend(spec), compiled=program) == reference_execute(
         sch, SimBackend(spec)
     )
 
     ratio_warm, t_interp, t_warm = paired_ratio(
-        lambda: execute(sch, SimBackend(spec)),
+        lambda: reference_execute(sch, SimBackend(spec)),
         lambda: execute(sch, SimBackend(spec), compiled=program),
     )
     ratio_cold, _, t_cold = paired_ratio(
-        lambda: execute(sch, SimBackend(spec)),
+        lambda: reference_execute(sch, SimBackend(spec)),
         lambda: execute(sch, SimBackend(spec), compiled=compile_schedule(sch)),
     )
     speedup_warm = 1.0 / ratio_warm

@@ -10,9 +10,10 @@
   layers recompute their context from the stored input) and chains the
   gradient.
 
-The action interpreter lives in :mod:`repro.engine` — the same virtual
-machine that backs :func:`repro.checkpointing.simulate`, here driving a
-:class:`~repro.engine.tensor.TensorBackend`.  This module is the
+The schedule runs on :mod:`repro.engine` — the same virtual machine
+that backs :func:`repro.checkpointing.simulate`: it compiles the
+schedule once (rejecting an invalid one before any layer runs) and
+dispatches the program to a :class:`~repro.engine.tensor.TensorBackend`.  This module is the
 compatibility surface: unchanged signature, unchanged
 :class:`~repro.errors.ExecutionError` behavior, unchanged
 :class:`CheckpointedResult`.

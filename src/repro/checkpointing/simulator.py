@@ -10,12 +10,13 @@ backward order) and measuring exactly what the paper's analysis needs:
 * peak checkpoint memory in bytes and in slots;
 * total time under the chain's cost model.
 
-The interpreter itself lives in :mod:`repro.engine` — this module is the
-compatibility surface: same signature, same
+The virtual machine itself lives in :mod:`repro.engine` — this module
+is the compatibility surface: same signature, same
 :class:`~repro.errors.ExecutionError` behavior, same
 :class:`ExecutionStats` result as the original hand-rolled simulator,
 now produced by :func:`repro.engine.execute` on a
-:class:`~repro.engine.sim.SimBackend`.
+:class:`~repro.engine.sim.SimBackend`, which compiles the schedule and
+evaluates the program with NumPy array passes.
 
 ``extra_forward_cost`` is measured against the mandatory work of a single
 forward sweep — the quantity the paper's recompute factor ρ prices:
@@ -110,8 +111,8 @@ def simulate(
     order, or finishing with backwards pending.
 
     ``compiled`` (a :class:`~repro.engine.program.CompiledProgram` built
-    from ``schedule``) routes execution through the engine's compiled
-    fast path; the returned stats are bit-identical either way.
+    from ``schedule``) is the program to run; without it the engine
+    compiles ``schedule`` itself.  The returned stats are the same.
     """
     # Imported lazily: repro.engine builds on this package's leaf modules.
     from ..engine.sim import SimBackend

@@ -412,9 +412,8 @@ class CheckpointStrategy:
     def measured(self, l: int, c: int) -> ExecutionStats:
         """Memoized virtual-machine measurements of the cached schedule.
 
-        Runs through the compiled fast path — the stats are bit-identical
-        to interpreting the schedule (property-tested), but the program
-        is compiled once and shareable across processes.
+        Executes the cached compiled program (:meth:`compiled`), so the
+        program is compiled once per key and shareable across processes.
         """
 
         def build() -> ExecutionStats:

@@ -1,7 +1,7 @@
 """The unified schedule execution engine.
 
-One virtual machine (:func:`execute`) interprets checkpoint schedules
-for *every* consumer — the analytic simulator, the real-tensor executor
+One virtual machine (:func:`execute`) runs checkpoint schedules for
+*every* consumer — the analytic simulator, the real-tensor executor
 and the tiered-storage model — through a pluggable
 :class:`~repro.engine.backend.Backend`:
 
@@ -14,7 +14,9 @@ and the tiered-storage model — through a pluggable
   :class:`~repro.edge.storage.CompressionModel` pricing compressed-band
   slots (smaller stored bytes, codec seconds per transfer).
 
-The VM owns all invariants and emits unified
+:func:`execute` compiles a schedule (:func:`compile_schedule`, the one
+place its invariants are checked) and then dispatches the compiled
+program to the backend, emitting unified
 :class:`~repro.engine.stats.StepStats` / :class:`~repro.engine.stats.RunStats`;
 :mod:`repro.engine.hooks` builds the standard trace observers.  The
 historical entry points :func:`repro.checkpointing.simulate` and

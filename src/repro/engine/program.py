@@ -15,10 +15,12 @@ compiles a schedule once into a :class:`CompiledProgram`:
 * schedule-level aggregates (``executions``, ``peak_slots``,
   snapshot/restore counts) that are backend-independent.
 
-Compilation *is* validation: every structural invariant the interpreted
-VM loop enforces is checked here with byte-identical
-:class:`~repro.errors.ExecutionError` messages, so a program that
-compiles can execute with no per-action checks at all.  The decompiler
+Compilation *is* validation: this is the only place the VM's
+structural invariants are enforced, each with one canonical
+:class:`~repro.errors.ExecutionError` message, so a program that
+compiles can execute with no per-action checks at all.
+:func:`~repro.engine.vm.execute` always compiles (once per schedule
+object) and then dispatches the program.  The decompiler
 (:func:`decompile`) inverts compilation exactly —
 ``decompile(compile_schedule(s)) == s`` for every valid schedule — and
 :func:`program_from_payload` recompiles on load, so a persisted program
@@ -28,8 +30,8 @@ can never smuggle an invalid action sequence past the VM.
 analytic :class:`~repro.engine.sim.SimBackend`: byte peaks from one
 ``int64`` cumulative sum over slot deltas, costs from prefix-sum
 differences accumulated with ``np.add.accumulate`` — the same
-left-to-right float additions the interpreted loop performs, so the
-resulting :class:`~repro.engine.stats.RunStats` is bit-identical.
+left-to-right float additions the per-action dispatch loop performs, so
+the resulting :class:`~repro.engine.stats.RunStats` is bit-identical.
 """
 
 from __future__ import annotations
@@ -133,12 +135,17 @@ class CompiledProgram:
         return int(self.opcodes.shape[0])
 
     def matches(self, schedule: Schedule) -> bool:
-        """Cheap structural check that this program came from ``schedule``."""
+        """Whether this program's op/arg rows are ``schedule``'s actions."""
+        actions = schedule.actions
         return (
             self.strategy == schedule.strategy
             and self.length == schedule.length
             and self.slots == schedule.slots
-            and len(self) == len(schedule.actions)
+            and len(self) == len(actions)
+            and all(
+                KIND_BY_OP[op] is act.kind and arg == act.arg
+                for op, arg, act in zip(self.ops_list, self.args_list, actions)
+            )
         )
 
     # -- fast-iteration views (the generic dispatch loop uses these) ----
@@ -244,23 +251,22 @@ class CompiledProgram:
 def compile_schedule(schedule: Schedule) -> CompiledProgram:
     """Lower ``schedule`` to the flat IR, enforcing every VM invariant.
 
-    Raises :class:`~repro.errors.ExecutionError` with exactly the
-    message the interpreted loop would produce, at the same action
-    position and in the same check order — compiled and interpreted
-    paths fail identically.
+    Raises :class:`~repro.errors.ExecutionError`, naming the first
+    offending action, when:
+
+    * ADVANCE does not move the cursor strictly forward within the chain;
+    * SNAPSHOT targets a slot outside the budget or one already occupied
+      (a silent overwrite would leak the previous payload);
+    * RESTORE / FREE targets an empty slot;
+    * ADJOINT is out of descending order or the cursor is not parked at
+      ``x_{step-1}``;
+    * at the end a backward is pending or a step never ran forward.
     """
     l = schedule.length
     budget = schedule.slots
-    n = len(schedule.actions)
-    opcodes = np.empty(n, np.int32)
-    args = np.empty(n, np.int32)
-    aux = np.empty(n, np.int32)
-    cursor_after = np.empty(n, np.int32)
-    occupied_after = np.empty(n, np.int32)
-    forward_cum = np.empty(n, np.int32)
-    replay_cum = np.empty(n, np.int32)
-    backwards_cum = np.empty(n, np.int32)
-    slot_sign = np.zeros(n, np.int8)
+    # One row per action: op, arg, aux, cursor_after, occupied_after,
+    # forward_cum, replay_cum, backwards_cum, slot_sign.
+    rows: list[tuple[int, ...]] = []
     adv_start: list[int] = []
     adv_stop: list[int] = []
     adjoint_steps: list[int] = []
@@ -283,7 +289,7 @@ def compile_schedule(schedule: Schedule) -> CompiledProgram:
                 raise ExecutionError(
                     f"action {pos}: ADVANCE to {arg} from cursor {cursor} (l={l})"
                 )
-            op, a = OP_ADVANCE, cursor
+            op, a, sign = OP_ADVANCE, cursor, 0
             adv_start.append(cursor)
             adv_stop.append(arg)
             cover[cursor] += 1
@@ -302,8 +308,7 @@ def compile_schedule(schedule: Schedule) -> CompiledProgram:
                     f"(holds x_{held}) without FREE"
                 )
             slots[arg] = cursor
-            op, a = OP_SNAPSHOT, cursor
-            slot_sign[pos] = 1
+            op, a, sign = OP_SNAPSHOT, cursor, 1
             snapshots_taken += 1
             if len(slots) > peak_slots:
                 peak_slots = len(slots)
@@ -312,14 +317,13 @@ def compile_schedule(schedule: Schedule) -> CompiledProgram:
             if held is None:
                 raise ExecutionError(f"action {pos}: RESTORE from empty slot {arg}")
             cursor = held
-            op, a = OP_RESTORE, held
+            op, a, sign = OP_RESTORE, held, 0
             restores += 1
         elif kind is ActionKind.FREE:
             held = slots.pop(arg, None)
             if held is None:
                 raise ExecutionError(f"action {pos}: FREE of empty slot {arg}")
-            op, a = OP_FREE, held
-            slot_sign[pos] = -1
+            op, a, sign = OP_FREE, held, -1
         elif kind is ActionKind.ADJOINT:
             step = arg
             if step != pending:
@@ -333,20 +337,15 @@ def compile_schedule(schedule: Schedule) -> CompiledProgram:
                 )
             cover[step - 1] += 1
             cover[step] -= 1
-            op, a = OP_ADJOINT, step
+            op, a, sign = OP_ADJOINT, step, 0
             adjoint_steps.append(step)
             replay_steps += 1
             pending -= 1
         else:  # pragma: no cover - exhaustive enum
             raise ExecutionError(f"action {pos}: unknown kind {kind}")
-        opcodes[pos] = op
-        args[pos] = arg
-        aux[pos] = a
-        cursor_after[pos] = cursor
-        occupied_after[pos] = len(slots)
-        forward_cum[pos] = forward_steps
-        replay_cum[pos] = replay_steps
-        backwards_cum[pos] = l - pending
+        rows.append(
+            (op, arg, a, cursor, len(slots), forward_steps, replay_steps, l - pending, sign)
+        )
 
     if pending != 0:
         raise ExecutionError(
@@ -361,19 +360,20 @@ def compile_schedule(schedule: Schedule) -> CompiledProgram:
         missing = [i + 1 for i, e in enumerate(executions) if e < 1]
         raise ExecutionError(f"steps never executed forward: {missing}")
 
+    cols = np.array(rows, np.int32).reshape(len(rows), 9).T.copy()
     return CompiledProgram(
         strategy=schedule.strategy,
         length=l,
         slots=budget,
-        opcodes=_frozen(opcodes),
-        args=_frozen(args),
-        aux=_frozen(aux),
-        cursor_after=_frozen(cursor_after),
-        occupied_after=_frozen(occupied_after),
-        forward_cum=_frozen(forward_cum),
-        replay_cum=_frozen(replay_cum),
-        backwards_cum=_frozen(backwards_cum),
-        slot_sign=_frozen(slot_sign),
+        opcodes=_frozen(cols[0]),
+        args=_frozen(cols[1]),
+        aux=_frozen(cols[2]),
+        cursor_after=_frozen(cols[3]),
+        occupied_after=_frozen(cols[4]),
+        forward_cum=_frozen(cols[5]),
+        replay_cum=_frozen(cols[6]),
+        backwards_cum=_frozen(cols[7]),
+        slot_sign=_frozen(cols[8].astype(np.int8)),
         adv_start=_frozen(np.asarray(adv_start, np.int32)),
         adv_stop=_frozen(np.asarray(adv_stop, np.int32)),
         adjoint_steps=_frozen(np.asarray(adjoint_steps, np.int32)),
@@ -446,7 +446,7 @@ def program_from_payload(payload: object) -> CompiledProgram:
 def run_compiled_sim(program: CompiledProgram, backend) -> RunStats:
     """Whole-program vectorized execution on a :class:`SimBackend`.
 
-    Bit-identical to interpreting the schedule action by action:
+    Bit-identical to dispatching the program action by action:
 
     * byte peaks come from an ``int64`` cumulative sum over per-action
       slot deltas (plus the initial charge, where the cursor holds
@@ -455,10 +455,10 @@ def run_compiled_sim(program: CompiledProgram, backend) -> RunStats:
       :meth:`ChainSpec.advance_cost <repro.checkpointing.chainspec.ChainSpec.advance_cost>`
       computes, and every cost accumulator uses ``np.add.accumulate`` —
       a strictly left-to-right reduction, the same float additions in
-      the same order as the interpreted loop's ``+=``.
+      the same order as the dispatch loop's ``+=``.
 
-    The backend is left in exactly the state interpretation would have
-    produced (cursor, slot table, peaks), via
+    The backend is left in exactly the state per-action dispatch would
+    have produced (cursor, slot table, peaks), via
     :meth:`~repro.engine.sim.SimBackend.adopt`.
     """
     spec = backend.spec

@@ -26,6 +26,8 @@ from repro.checkpointing import (
 from repro.edge.storage import EMMC, SD_CARD
 from repro.errors import PlanningError, ScheduleError
 
+from .vm_reference import reference_execute
+
 BIG = 1e15
 
 
@@ -196,7 +198,7 @@ class TestScheduleAndProgram:
         sched = joint_schedule(spec, c, UnitCostObjective(spec, 1.0, 1.0))
         prog = compile_schedule(sched)
         for make in (lambda: SimBackend(spec), lambda: TieredBackend(spec, disk=SD_CARD)):
-            assert execute(sched, make()) == execute(sched, make(), compiled=prog)
+            assert reference_execute(sched, make()) == execute(sched, make(), compiled=prog)
 
 
 class TestFigure1Dominance:

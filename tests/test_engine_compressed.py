@@ -2,7 +2,8 @@
 model, the CompressedBackend, the program IR, and the frontier claims.
 
 The acceptance properties: compressed schedules compile -> decompile
-exactly, compiled dispatch is byte-identical to the interpreter on the
+exactly, compiled dispatch is byte-identical to the frozen reference
+interpreter (``tests/vm_reference.py``) on the
 Sim/Tiered/Compressed backends across every registered family x random
 (l, slots, seed), lossless (ratio 1, zero-cost) settings collapse
 exactly onto the pure families, and on a deep Figure-1 panel at least
@@ -52,6 +53,8 @@ from repro.engine import (
     decompile,
     execute,
 )
+
+from .vm_reference import reference_execute
 
 FAMILIES = available_strategies()
 
@@ -138,7 +141,7 @@ class TestCompressionModel:
 
 
 class TestCompressedDifferential:
-    """Compiled dispatch must be byte-identical to the interpreter on
+    """Compiled dispatch must be byte-identical to the reference interpreter on
     every backend for every registered family, zip ones included."""
 
     @settings(max_examples=60, deadline=None)
@@ -163,7 +166,7 @@ class TestCompressedDifferential:
                 lambda: CompressedBackend(spec, BITTRAIN_SPARSE, disk=SD_CARD),
             )
             for make in backends:
-                interpreted = execute(sch, make())
+                interpreted = reference_execute(sch, make())
                 compiled = execute(sch, make(), compiled=program)
                 assert compiled == interpreted
                 assert compiled.tiers == interpreted.tiers

@@ -3,9 +3,10 @@
 The compiler must be a lossless, validation-complete lowering: compile →
 decompile reproduces the exact Schedule for every strategy family, the
 compiled paths (vectorized sim, generic dispatch, traced) produce
-bit-identical RunStats/TierStats/StepStats to the interpreted loop, and
-every invariant violation raises the same ExecutionError text at
-compile time that the interpreter raises at run time.
+bit-identical RunStats/TierStats/StepStats to the frozen reference
+interpreter (``tests/vm_reference.py``), and every invariant violation
+raises the same ExecutionError text at compile time that the reference
+raises at run time — before ``execute`` lets the backend run anything.
 """
 
 import dataclasses
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.autodiff import DenseLayer, SequentialNet
+from repro.autodiff.meter import MemoryMeter
 from repro.checkpointing import (
     ChainSpec,
     Schedule,
@@ -29,6 +32,7 @@ from repro.checkpointing.strategies import available_strategies, get_strategy
 from repro.edge.storage import SD_CARD
 from repro.engine import (
     SimBackend,
+    TensorBackend,
     TieredBackend,
     compile_schedule,
     decompile,
@@ -37,6 +41,8 @@ from repro.engine import (
 )
 from repro.errors import ExecutionError, ScheduleError
 from repro.lab import ArtifactStore
+
+from .vm_reference import reference_execute
 
 FAMILIES = available_strategies()
 
@@ -110,9 +116,9 @@ class TestDifferential:
         sch = strat.build_schedule(l, slots)
         program = compile_schedule(sch)
         for spec in (ChainSpec.homogeneous(l), _random_spec(l, seed)):
-            interpreted = execute(sch, SimBackend(spec))
-            compiled = execute(sch, SimBackend(spec), compiled=program)
-            assert compiled == interpreted
+            interpreted = reference_execute(sch, SimBackend(spec))
+            assert execute(sch, SimBackend(spec), compiled=program) == interpreted
+            assert execute(sch, SimBackend(spec)) == interpreted
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_tier_stats_bit_identical(self, family):
@@ -123,7 +129,7 @@ class TestDifferential:
         sch = strat.build_schedule(l, slots)
         program = compile_schedule(sch)
         spec = ChainSpec.homogeneous(l, act_bytes=4096)
-        interpreted = execute(sch, TieredBackend(spec, disk=SD_CARD))
+        interpreted = reference_execute(sch, TieredBackend(spec, disk=SD_CARD))
         compiled = execute(
             sch, TieredBackend(spec, disk=SD_CARD), compiled=program
         )
@@ -135,7 +141,7 @@ class TestDifferential:
         program = compile_schedule(sch)
         spec = ChainSpec.homogeneous(13)
         interp_steps, comp_steps = [], []
-        a = execute(sch, SimBackend(spec), on_step=interp_steps.append)
+        a = reference_execute(sch, SimBackend(spec), on_step=interp_steps.append)
         b = execute(
             sch, SimBackend(spec), on_step=comp_steps.append, compiled=program
         )
@@ -152,14 +158,31 @@ class TestDifferential:
         assert simulate(sch, compiled=program) == simulate(sch)
 
     def test_mismatched_program_is_rejected(self):
-        sch = get_strategy("revolve").build_schedule(8, 3)
-        other = compile_schedule(get_strategy("revolve").build_schedule(8, 4))
-        with pytest.raises(ExecutionError, match="does not match schedule"):
-            execute(sch, SimBackend(ChainSpec.homogeneous(8)), compiled=other)
+        revolve = get_strategy("revolve")
+        # The second pair shares strategy name, length, slot budget and
+        # action count: only the op/arg rows tell the programs apart.
+        same_shape = (
+            _sched(3, 2, Action(_S, 0), Action(_A, 2), Action(_J, 3), Action(_R, 0),
+                   Action(_A, 1), Action(_J, 2), Action(_R, 0), Action(_J, 1),
+                   Action(_F, 0), strategy="x"),
+            _sched(3, 2, Action(_S, 0), Action(_A, 1), Action(_S, 1), Action(_A, 2),
+                   Action(_J, 3), Action(_R, 1), Action(_J, 2), Action(_R, 0),
+                   Action(_J, 1), strategy="x"),
+        )
+        for sch, other in (
+            (revolve.build_schedule(8, 3), revolve.build_schedule(8, 4)),
+            same_shape,
+        ):
+            with pytest.raises(ExecutionError, match="does not match schedule"):
+                execute(
+                    sch,
+                    SimBackend(ChainSpec.homogeneous(sch.length)),
+                    compiled=compile_schedule(other),
+                )
 
 
-def _sched(l, slots, *actions):
-    return Schedule(strategy="bad", length=l, slots=slots, actions=actions)
+def _sched(l, slots, *actions, strategy="bad"):
+    return Schedule(strategy=strategy, length=l, slots=slots, actions=actions)
 
 
 _A = ActionKind.ADVANCE
@@ -170,7 +193,8 @@ _J = ActionKind.ADJOINT
 
 
 class TestErrorParity:
-    """compile_schedule must fail exactly like the interpreted loop."""
+    """compile_schedule must fail exactly like the reference interpreter,
+    and execute must fail that way before the backend runs anything."""
 
     BAD = [
         _sched(3, 1, Action(_A, 2), Action(_A, 1)),  # backwards advance
@@ -185,12 +209,20 @@ class TestErrorParity:
     ]
 
     @pytest.mark.parametrize("bad", BAD)
-    def test_same_message_compiled_and_interpreted(self, bad):
+    def test_same_message_compiled_and_interpreted(self, bad, rng):
         with pytest.raises(ExecutionError) as interpreted:
-            execute(bad, SimBackend(ChainSpec.homogeneous(bad.length)))
+            reference_execute(bad, SimBackend(ChainSpec.homogeneous(bad.length)))
         with pytest.raises(ExecutionError) as compiled:
             compile_schedule(bad)
         assert str(compiled.value) == str(interpreted.value)
+        meter = MemoryMeter()
+        net = SequentialNet([DenseLayer(4, 4, rng, name=f"d{i}") for i in range(bad.length)])
+        backend = TensorBackend(net, rng.normal(size=(2, 4)), np.array([0, 1]), meter=meter)
+        with pytest.raises(ExecutionError) as executed:
+            execute(bad, backend)
+        assert str(executed.value) == str(interpreted.value)
+        # begin() would hold x_0 and every forward holds its output.
+        assert meter.peak_bytes == 0
 
 
 @pytest.mark.usefixtures("fresh_schedule_cache")

@@ -1,4 +1,6 @@
-"""The unified schedule VM: invariants, stats, hooks."""
+"""The unified schedule VM: invariants, stats, hooks, program reuse."""
+
+import pickle
 
 import pytest
 
@@ -104,6 +106,30 @@ class TestRunStats:
         assert run.transfer_seconds == 0.0
         with pytest.raises(KeyError):
             run.tier("disk")
+
+
+class TestProgramReuse:
+    def test_compiled_once_per_schedule_object(self, monkeypatch):
+        from repro.engine import vm
+
+        compiled = []  # lengths only: holding the schedules would keep them alive
+        real = vm.compile_schedule
+        monkeypatch.setattr(vm, "compile_schedule", lambda s: compiled.append(s.length) or real(s))
+        sch = revolve_schedule(13, 3)
+        twin = pickle.loads(pickle.dumps(sch))
+        spec = ChainSpec.homogeneous(13)
+        first = execute(sch, SimBackend(spec))
+        assert execute(sch, SimBackend(spec), on_step=lambda _: None) == first
+        assert len(compiled) == 1
+        # An equal but distinct schedule gets its own program, and the
+        # kept program leaves no trace in a schedule's value or pickle.
+        assert execute(twin, SimBackend(spec)) == first
+        assert len(compiled) == 2
+        assert twin == sch and hash(twin) == hash(sch)
+        assert pickle.dumps(twin) == pickle.dumps(sch)
+        key = id(twin)
+        del twin
+        assert key not in vm._programs
 
 
 class TestStepHook:
