@@ -9,11 +9,12 @@ benchmarks the DP + schedule generation + tiered validation.
 """
 
 from repro.checkpointing import (
+    ChainSpec,
     disk_revolve_cost,
     disk_revolve_schedule,
     opt_forwards,
-    simulate_tiered,
 )
+from repro.engine import TieredBackend, execute
 
 L = 152
 SLOTS = (1, 2, 3, 5, 8)
@@ -25,8 +26,10 @@ def _sweep():
     for c in SLOTS:
         for d in DISK_COSTS:
             sch = disk_revolve_schedule(L, c, d, d)
-            st = simulate_tiered(sch)
-            rows.append((c, d, st.total_cost(d, d), st.disk_writes, st.peak_memory_slots))
+            run = execute(sch, TieredBackend(ChainSpec.homogeneous(L)))
+            disk = run.tier("disk")
+            cost = run.forward_steps + d * disk.writes + d * disk.reads
+            rows.append((c, d, cost, disk.writes, run.tier("memory").peak_slots))
     return rows
 
 

@@ -1,8 +1,7 @@
 """Joint rematerialization + paging: one DP over recompute *and* tier.
 
-The existing families answer "where does this activation live?" by
-fiat — ``revolve`` keeps everything in RAM and recomputes,
-``disk_revolve`` pages split points to disk at fixed unit prices.  POET
+The pure families answer "where does this activation live?" by fiat —
+``revolve`` keeps everything in RAM and recomputes.  POET
 (see PAPERS.md) frames the two as one optimization: per step, either
 recompute an activation when it is needed again, or page it to a storage
 tier, under a pluggable objective (wall time, energy).  This module is
@@ -34,6 +33,18 @@ plan (unit prices recover Aupy et al.'s ``DR`` recurrence exactly), so
 the joint optimum weakly dominates both *by construction* — and beats
 them strictly whenever real :class:`~repro.edge.storage.StorageProfile`
 prices diverge from the abstract unit costs the pure families assume.
+
+Disk-revolve
+------------
+
+The paper's reference [1] is INRIA's disk-revolve: ``c_m`` RAM slots
+plus an unbounded disk tier priced ``write_cost`` / ``read_cost`` per
+access in forward units.  On a homogeneous chain that is this DP under
+:class:`UnitCostObjective`, so :func:`disk_revolve_cost`,
+:func:`disk_revolve_splits` and :func:`disk_revolve_schedule` are
+presets over :func:`joint_plan` / :func:`joint_schedule`.  Free disk
+(w = r = 0) degenerates to the store-everything sweep ``l − 1``;
+infinitely expensive disk to ``P(l, c_m)``.
 
 Objectives
 ----------
@@ -99,6 +110,9 @@ __all__ = [
     "joint_plan",
     "joint_cost",
     "joint_schedule",
+    "disk_revolve_cost",
+    "disk_revolve_splits",
+    "disk_revolve_schedule",
 ]
 
 _INF = float("inf")
@@ -201,10 +215,10 @@ class UnitCostObjective(JointObjective):
     """Abstract pricing in forward units — the disk-revolve convention.
 
     A step costs its ``fwd_cost`` entry; any paged write/read costs a
-    flat ``write_cost`` / ``read_cost`` regardless of size.  With the
-    defaults this is exactly the pricing under which
-    :func:`~repro.checkpointing.multilevel.disk_revolve_cost` plans, so
-    the joint optimum provably equals it on homogeneous chains.
+    flat ``write_cost`` / ``read_cost`` regardless of size.  On a
+    homogeneous chain this is disk-revolve's pricing:
+    :func:`disk_revolve_cost` and its siblings are presets over it.
+    Prices must be non-negative (``inf`` allowed, NaN rejected).
     """
 
     def __init__(
@@ -214,7 +228,8 @@ class UnitCostObjective(JointObjective):
         read_cost: float = 1.0,
         codec: "CompressionModel | None" = None,
     ) -> None:
-        if write_cost < 0 or read_cost < 0:
+        # Written so that NaN fails too (every comparison with NaN is false).
+        if not (write_cost >= 0 and read_cost >= 0):
             raise PlanningError("paging costs must be non-negative")
         self._write = write_cost
         self._read = read_cost
@@ -258,7 +273,7 @@ class TimeObjective(JointObjective):
         unit_seconds: float = 1.0,
         codec: "CompressionModel | None" = None,
     ) -> None:
-        if unit_seconds <= 0:
+        if not unit_seconds > 0:  # NaN fails too
             raise PlanningError("unit_seconds must be positive")
         self.disk = disk if disk is not None else _default_disk()
         self.unit_seconds = unit_seconds
@@ -323,7 +338,7 @@ class EnergyObjective(JointObjective):
             compute_j_per_unit = model.compute_j_per_flop
         if io_w is None:
             io_w = model.idle_w
-        if compute_j_per_unit < 0 or io_w < 0:
+        if not (compute_j_per_unit >= 0 and io_w >= 0):  # NaN fails too
             raise PlanningError("energy coefficients must be non-negative")
         self.disk = disk if disk is not None else _default_disk()
         self.compute_j_per_unit = compute_j_per_unit
@@ -607,3 +622,51 @@ def joint_schedule(
         slots=max(paged_slots) + 1,
         actions=tuple(actions),
     )
+
+
+# ---------------------------------------------------------------------------
+# Disk-revolve: the unit-price preset
+# ---------------------------------------------------------------------------
+
+
+def _disk_revolve_objective(
+    l: int, c_m: int, write_cost: float, read_cost: float
+) -> UnitCostObjective:
+    if l < 1 or c_m < 1:
+        raise ScheduleError("require l >= 1 and c_m >= 1")
+    if not (write_cost >= 0 and read_cost >= 0):  # NaN fails too
+        raise ScheduleError("disk costs must be non-negative")
+    return UnitCostObjective(ChainSpec.homogeneous(l), write_cost, read_cost)
+
+
+def disk_revolve_cost(
+    l: int, c_m: int, write_cost: float = 1.0, read_cost: float = 1.0
+) -> float:
+    """Optimal total cost: pure forwards + all disk I/O, in forward units.
+
+    Includes the one-off ``x_0`` write whenever the plan uses the disk.
+    """
+    obj = _disk_revolve_objective(l, c_m, write_cost, read_cost)
+    return joint_plan(obj.spec, c_m, obj).cost
+
+
+def disk_revolve_splits(
+    l: int, c_m: int, write_cost: float = 1.0, read_cost: float = 1.0
+) -> list[int]:
+    """Disk-checkpoint positions (absolute indices), left to right."""
+    obj = _disk_revolve_objective(l, c_m, write_cost, read_cost)
+    # The plan's first split is x_0 itself whenever it pages at all.
+    return [p for p, _ in joint_plan(obj.spec, c_m, obj).splits[1:]]
+
+
+def disk_revolve_schedule(
+    l: int, c_m: int, write_cost: float = 1.0, read_cost: float = 1.0
+) -> Schedule:
+    """Executable two-tier schedule achieving :func:`disk_revolve_cost`.
+
+    Slot ``DISK_SLOT_BASE + i`` holds the i-th disk-resident activation
+    (``x_0`` plus the split points); RAM slots are ``0 .. c_m-1``.  When
+    the plan takes no splits the actions are exactly classic Revolve's.
+    """
+    obj = _disk_revolve_objective(l, c_m, write_cost, read_cost)
+    return joint_schedule(obj.spec, c_m, obj, family="disk_revolve")

@@ -27,16 +27,16 @@ Conventions shared by every adapter (all homogeneous-chain semantics):
 * ``c`` is the checkpoint *slot budget* including the slot holding a
   segment's input (Revolve's convention), never a segment count;
 * ``extra_forwards`` counts pure ADVANCE steps beyond the mandatory
-  ``l − 1`` sweep — exactly what :meth:`ExecutionStats
-  <repro.checkpointing.simulator.ExecutionStats>`\\ ``.extra_forward_steps``
-  measures, so predictions and measurements are directly comparable
+  ``l − 1`` sweep — exactly what :meth:`RunStats
+  <repro.engine.stats.RunStats>`\\ ``.extra_forward_steps`` measures, so predictions and measurements are directly comparable
   (property-tested in ``tests/test_ckpt_strategies.py``);
 * ``rho`` prices that overhead with the paper's formula
   ``1 + extra / (l·(1 + bwd_ratio))`` via :func:`rho_from_extra` — the
   single home of the expression previously duplicated across the
   planner and the ablation;
-* ``disk_revolve``'s ρ prices recompute only; its disk I/O is costed
-  separately by :func:`~repro.checkpointing.multilevel.disk_revolve_cost`.
+* ``disk_revolve`` (the joint planner at unit paging prices) has a ρ
+  that prices recompute only; its disk I/O is costed separately by
+  :func:`~repro.checkpointing.joint.disk_revolve_cost`.
 
 The base class backs ``extra_forwards``/``peak_slots`` by executing the
 (cached) schedule on the virtual machine, so a new strategy is correct
@@ -58,11 +58,10 @@ from .actions import Action, ActionKind, compressed_slot
 from .chainspec import ChainSpec
 from .dynprog import budget_schedule, hetero_schedule
 from .joint import UnitCostObjective, joint_schedule
-from .multilevel import disk_revolve_schedule
 from .revolve import extra_forwards as revolve_extra_forwards
 from .revolve import revolve_schedule, store_all_schedule
 from .schedule import Schedule
-from .simulator import ExecutionStats, simulate
+from .simulator import simulate
 from .sqrt import sqrt_memory_slots, sqrt_schedule, sqrt_segments
 from .uniform import (
     best_segments,
@@ -73,6 +72,7 @@ from .uniform import (
 
 if TYPE_CHECKING:  # pragma: no cover - layering: engine imports this package
     from ..engine.program import CompiledProgram
+    from ..engine.stats import RunStats
 
 __all__ = [
     "CheckpointStrategy",
@@ -238,7 +238,7 @@ class _ScheduleCache:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._schedules: dict[tuple, Schedule] = {}
-        self._stats: dict[tuple, ExecutionStats] = {}
+        self._stats: dict[tuple, "RunStats"] = {}
         self._programs: dict[tuple, "CompiledProgram"] = {}
 
     def _get(self, table: dict, key: tuple):
@@ -259,7 +259,7 @@ class _ScheduleCache:
         with self._lock:
             return self._schedules.setdefault(key, built)
 
-    def stats(self, key: tuple, build) -> ExecutionStats:
+    def stats(self, key: tuple, build) -> "RunStats":
         found = self._get(self._stats, key)
         if found is not None:
             return found
@@ -409,14 +409,14 @@ class CheckpointStrategy:
         """
         return _CACHE.program(self.cache_key(l, c), lambda: self.schedule(l, c))
 
-    def measured(self, l: int, c: int) -> ExecutionStats:
+    def measured(self, l: int, c: int) -> "RunStats":
         """Memoized virtual-machine measurements of the cached schedule.
 
         Executes the cached compiled program (:meth:`compiled`), so the
         program is compiled once per key and shareable across processes.
         """
 
-        def build() -> ExecutionStats:
+        def build() -> "RunStats":
             program = self.compiled(l, c)
             return simulate(self.schedule(l, c), compiled=program)
 
@@ -496,7 +496,7 @@ def resolve_strategy_name(label: str) -> str:
     """Canonical family name for a schedule's strategy label.
 
     Labels may carry parameters — ``"uniform(s=4)"``,
-    ``"disk_revolve(c_m=3)"`` — and legacy spellings (``"hetero_dp"``);
+    ``"disk_revolve(c=3)"`` — and legacy spellings (``"hetero_dp"``);
     the part before ``(`` is resolved through the registry.  Raises
     :class:`~repro.errors.PlanningError` for unknown families.
     """
@@ -620,23 +620,6 @@ class BudgetStrategy(CheckpointStrategy):
         return revolve_extra_forwards(l, c)
 
 
-class DiskRevolveStrategy(CheckpointStrategy):
-    """Two-level (memory + disk) checkpointing with ``c`` memory slots.
-
-    ``peak_slots`` counts both tiers; ``rho`` prices recompute only —
-    disk I/O is costed by :func:`~.multilevel.disk_revolve_cost`.
-    """
-
-    name = "disk_revolve"
-
-    def __init__(self, write_cost: float = 1.0, read_cost: float = 1.0) -> None:
-        self.write_cost = write_cost
-        self.read_cost = read_cost
-
-    def build_schedule(self, l: int, c: int) -> Schedule:
-        return disk_revolve_schedule(l, c, self.write_cost, self.read_cost)
-
-
 _SLOT_KINDS = (ActionKind.SNAPSHOT, ActionKind.RESTORE, ActionKind.FREE)
 
 
@@ -646,8 +629,8 @@ def compressed_variant(base: Schedule, family: str) -> Schedule:
     The action *structure* is untouched — same recompute pattern, same
     peak slot count — only the how-stored flag changes, so the variant
     inherits the base family's closed forms.  The declared budget is
-    inflated past the banded ids, the same convention ``disk_revolve``
-    and ``joint`` use for their tier bands.
+    inflated past the banded ids, the same convention the joint
+    families use for their tier bands.
     """
     actions = tuple(
         Action(a.kind, compressed_slot(a.arg)) if a.kind in _SLOT_KINDS else a
@@ -694,15 +677,16 @@ class JointStrategy(CheckpointStrategy):
     objectives live behind the spec-level API —
     :func:`~repro.checkpointing.joint.joint_schedule` with a
     :class:`~repro.checkpointing.joint.TimeObjective` /
-    :class:`~repro.checkpointing.joint.EnergyObjective`).  ``joint_time``
-    prices a paged op at one forward unit — ``disk_revolve``'s
-    convention, which it provably weakly dominates; ``joint_energy`` at
+    :class:`~repro.checkpointing.joint.EnergyObjective`).
+    ``disk_revolve`` and ``joint_time`` price a paged op at one forward
+    unit (disk-revolve's convention, so the two build the same
+    schedules under different labels); ``joint_energy`` at
     a quarter unit (storage I/O holds only the ~2 W rail while a busy
     core draws ~4x that, so equal-duration transfers cost a quarter of
     the energy — the duty-cycle framing of
     :class:`~repro.edge.power.EnergyModel`), so it pages more eagerly.
-    Like ``disk_revolve``, ``rho`` prices recompute only; paging I/O is
-    costed by the objective.
+    ``rho`` prices recompute only; paging I/O is costed by the
+    objective.  ``peak_slots`` counts every tier.
     """
 
     def __init__(self, name: str, write_cost: float = 1.0, read_cost: float = 1.0) -> None:
@@ -761,7 +745,7 @@ register(SqrtStrategy())
 register(StoreAllStrategy())
 register(HeteroStrategy(), aliases=("hetero_dp",))
 register(BudgetStrategy(), aliases=("budget_dp",))
-register(DiskRevolveStrategy())
+register(JointStrategy("disk_revolve"))
 register(JointStrategy("joint_time"), aliases=("joint",))
 register(JointStrategy("joint_energy", write_cost=0.25, read_cost=0.25))
 register(RevolveZipStrategy())

@@ -6,8 +6,9 @@ tier: slot ids are routed by the shared tier-aware action alphabet
 ``disk_slot_base``, i.e. outside tier 0's band, live on the disk tier,
 the rest in RAM).  Each tier may carry a
 :class:`~repro.edge.storage.StorageProfile` pricing its read/write path
-in seconds; a tier without a profile moves checkpoints for free (the
-pure-counting mode :func:`~repro.checkpointing.simulate_tiered` uses).
+in seconds; a tier without a profile moves checkpoints for free (pure
+counting: writes, reads and peaks per tier, as the disk-revolve CLI
+reports them).
 This is what lets a ``disk_revolve`` schedule *execute* — not just be
 planned — with measured SD-card/eMMC transfer time in the resulting
 :class:`~repro.engine.stats.RunStats`.
@@ -17,9 +18,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..checkpointing.actions import TIER_RAM, tier_of_slot
+from ..checkpointing.actions import DISK_SLOT_BASE, TIER_RAM, tier_of_slot
 from ..checkpointing.chainspec import ChainSpec
-from ..checkpointing.multilevel import DISK_SLOT_BASE
 from .sim import SimBackend
 from .stats import TierStats
 

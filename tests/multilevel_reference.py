@@ -1,55 +1,36 @@
-"""Two-level (memory + disk) checkpointing — "disk-revolve".
+"""The two-level disk-revolve DP, frozen as a test oracle.
 
-The paper's reference [1] is INRIA's disk-revolve implementation: edge
-nodes have little RAM but plentiful flash (the Waggle node's SD card), so
-activations can be checkpointed to a second, slower tier.  Following
-Aupy, Herrmann et al.'s multistage adjoint model, we add a disk tier with
-unlimited slots and per-access costs ``write_cost`` / ``read_cost``
-(in forward-step units) to the ``c_m`` memory slots:
-
-    DR(l, c_m) = min( P(l, c_m),
-                      min_{1<=j<l} [ j + w_d + DR(l-j, c_m)
-                                       + r_d + P(j, c_m) ] )
-
-``P`` is classic Revolve.  Either reverse the whole chain in memory, or
-advance ``j`` steps, park ``x_j`` on disk, reverse the right part
-recursively (all memory slots free again), then pay one disk read to
-restart the left part.  The outermost ``x_0`` write is charged once when
-any split is taken.  Sanity limits are property-tested: free disk
-(w=r=0) degenerates to the store-everything sweep ``l − 1``; infinitely
-expensive disk degenerates to ``P(l, c_m)``.
-
-:func:`disk_revolve_schedule` emits an executable schedule whose disk
-slots are the ids at/above :data:`DISK_SLOT_BASE`;
-:func:`simulate_tiered` executes it with tier-aware accounting, and its
-measured ``total_cost`` equals :func:`disk_revolve_cost` exactly.
+``repro.checkpointing`` used to plan disk-revolve with its own
+recurrence (Aupy et al.'s ``DR``) in a module of its own.  Disk-revolve
+is now a unit-price preset of the joint rematerialization+paging DP
+(``repro.checkpointing.joint``).  The old recurrence and schedule
+emitter are frozen verbatim below (commit c815ac9) so the differential
+tests in ``tests/test_ckpt_multilevel_reference.py`` can keep checking
+the preset against them: the same actions, slot budget, splits and cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from ..errors import ScheduleError
-from .actions import TIER_DISK, Action, advance, free, restore, snapshot, tier_slot
-from .chainspec import ChainSpec
-from .revolve import _SplitFn, _emit_reverse, opt_forwards, revolve_schedule
-from .schedule import Schedule
+from repro.checkpointing.actions import (
+    DISK_SLOT_BASE,
+    Action,
+    advance,
+    free,
+    restore,
+    snapshot,
+)
+from repro.checkpointing.revolve import (
+    _SplitFn,
+    _emit_reverse,
+    opt_forwards,
+    revolve_schedule,
+)
+from repro.checkpointing.schedule import Schedule
+from repro.errors import ScheduleError
 
-__all__ = [
-    "DISK_SLOT_BASE",
-    "disk_revolve_cost",
-    "disk_revolve_splits",
-    "disk_revolve_schedule",
-    "TieredStats",
-    "simulate_tiered",
-]
-
-#: Slot ids >= this refer to the disk tier — the first slot of
-#: :data:`~repro.checkpointing.actions.TIER_DISK` in the shared
-#: tier-aware slot alphabet (kept as a module attribute for callers that
-#: predate the alphabet).
-DISK_SLOT_BASE = tier_slot(TIER_DISK, 0)
+__all__ = ["disk_revolve_cost", "disk_revolve_splits", "disk_revolve_schedule"]
 
 
 @lru_cache(maxsize=None)
@@ -175,48 +156,4 @@ def disk_revolve_schedule(
         length=l,
         slots=DISK_SLOT_BASE + len(bounds),
         actions=tuple(actions),
-    )
-
-
-@dataclass(frozen=True)
-class TieredStats:
-    """Tier-aware measurements of an executed two-level schedule."""
-
-    forward_steps: int
-    disk_writes: int
-    disk_reads: int
-    peak_memory_slots: int
-    peak_disk_slots: int
-    peak_memory_bytes: int
-    peak_disk_bytes: int
-
-    def total_cost(self, write_cost: float, read_cost: float) -> float:
-        """Forwards + I/O in forward units (the DP's objective)."""
-        return self.forward_steps + write_cost * self.disk_writes + read_cost * self.disk_reads
-
-
-def simulate_tiered(schedule: Schedule, spec: ChainSpec | None = None) -> TieredStats:
-    """Execute with per-tier accounting.
-
-    One engine run on a :class:`~repro.engine.tiered.TieredBackend` (in
-    pure-counting mode — no storage profiles, so transfers are free):
-    the VM validates ordering, slot discipline and completeness while the
-    backend splits the accounting by tier.
-    """
-    from ..engine.tiered import TieredBackend
-    from ..engine.vm import execute
-
-    if spec is None:
-        spec = ChainSpec.homogeneous(schedule.length)
-    run = execute(schedule, TieredBackend(spec))
-    mem = run.tier("memory")
-    disk = run.tier("disk")
-    return TieredStats(
-        forward_steps=run.forward_steps,
-        disk_writes=disk.writes,
-        disk_reads=disk.reads,
-        peak_memory_slots=mem.peak_slots,
-        peak_disk_slots=disk.peak_slots,
-        peak_memory_bytes=mem.peak_bytes,
-        peak_disk_bytes=disk.peak_bytes,
     )

@@ -12,20 +12,20 @@ from repro.checkpointing import (
     EnergyObjective,
     TimeObjective,
     UnitCostObjective,
-    disk_revolve_cost,
     joint_cost,
     joint_frontier,
     joint_plan,
     joint_schedule,
     opt_forwards,
     simulate,
-    simulate_tiered,
     tier_of_slot,
     validate,
 )
 from repro.edge.storage import EMMC, SD_CARD
+from repro.engine import TieredBackend, execute
 from repro.errors import PlanningError, ScheduleError
 
+from . import multilevel_reference as ref
 from .vm_reference import reference_execute
 
 BIG = 1e15
@@ -33,6 +33,19 @@ BIG = 1e15
 
 def unit_spec(l: int) -> ChainSpec:
     return ChainSpec.homogeneous(l)
+
+
+def run_tiered(sched, spec=None):
+    """Execute on a pure-counting tiered backend: (run, memory, disk)."""
+    if spec is None:
+        spec = ChainSpec.homogeneous(sched.length)
+    run = execute(sched, TieredBackend(spec))
+    return run, run.tier("memory"), run.tier("disk")
+
+
+def unit_total(run, disk, w: float, r: float) -> float:
+    """Forwards + I/O in forward units (disk-revolve's objective)."""
+    return run.forward_steps + w * disk.writes + r * disk.reads
 
 
 def random_spec(rng, l: int) -> ChainSpec:
@@ -67,18 +80,19 @@ class TestCollapseProperties:
         spec = ChainSpec.homogeneous(l, fwd_cost=BIG)
         obj = UnitCostObjective(spec, write_cost=0.0, read_cost=0.0)
         assert joint_cost(spec, c, obj) == pytest.approx((l - 1) * BIG)
-        st_tiered = simulate_tiered(joint_schedule(spec, c, obj))
-        assert st_tiered.forward_steps == l - 1  # zero extra recomputation
+        run, _, _ = run_tiered(joint_schedule(spec, c, obj))
+        assert run.forward_steps == l - 1  # zero extra recomputation
 
     @given(l=st.integers(1, 40), c=st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
     def test_unit_pricing_equals_disk_revolve_exactly(self, l, c):
         """At disk_revolve's own prices the joint optimum coincides with
-        it — the DP is a strict generalization, not an approximation."""
+        the frozen ``DR`` recurrence — the DP is a strict generalization,
+        not an approximation."""
         spec = unit_spec(l)
         obj = UnitCostObjective(spec, write_cost=1.0, read_cost=1.0)
         assert joint_cost(spec, c, obj) == pytest.approx(
-            disk_revolve_cost(l, c), abs=1e-9
+            ref.disk_revolve_cost(l, c), abs=1e-9
         )
 
     @given(
@@ -93,7 +107,7 @@ class TestCollapseProperties:
         cost = joint_cost(spec, c, UnitCostObjective(spec, w, r))
         c_eff = min(c, max(1, l - 1))
         assert cost <= opt_forwards(l, c_eff) + 1e-9
-        assert cost <= disk_revolve_cost(l, c, w, r) + 1e-9
+        assert cost <= ref.disk_revolve_cost(l, c, w, r) + 1e-9
 
 
 class TestPlannedEqualsMeasured:
@@ -112,9 +126,9 @@ class TestPlannedEqualsMeasured:
         obj = UnitCostObjective(spec, w, r)
         sched = joint_schedule(spec, c, obj)
         assert validate(sched)
-        t = simulate_tiered(sched)
-        assert t.total_cost(w, r) == pytest.approx(joint_cost(spec, c, obj), rel=1e-9)
-        assert t.peak_memory_slots <= min(c, max(1, l - 1))
+        run, mem, disk = run_tiered(sched)
+        assert unit_total(run, disk, w, r) == pytest.approx(joint_cost(spec, c, obj), rel=1e-9)
+        assert mem.peak_slots <= min(c, max(1, l - 1))
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("disk", (SD_CARD, EMMC), ids=lambda d: d.name)
@@ -168,6 +182,22 @@ class TestScheduleAndProgram:
     def test_rejects_objective_for_other_chain(self):
         with pytest.raises(PlanningError):
             joint_plan(unit_spec(5), 2, UnitCostObjective(unit_spec(6)))
+
+    @pytest.mark.parametrize("w, r", ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)))
+    def test_unit_objective_rejects_nan_prices(self, w, r):
+        """NaN fails every comparison: a bare ``< 0`` check let it
+        through and planning returned a never-paging "plan"."""
+        with pytest.raises(PlanningError, match="non-negative"):
+            joint_plan(unit_spec(20), 2, UnitCostObjective(unit_spec(20), w, r))
+
+    def test_time_objective_rejects_nan_unit_seconds(self):
+        with pytest.raises(PlanningError, match="positive"):
+            TimeObjective(unit_spec(20), unit_seconds=math.nan)
+
+    @pytest.mark.parametrize("kw", ({"io_w": math.nan}, {"compute_j_per_unit": math.nan}))
+    def test_energy_objective_rejects_nan_coefficients(self, kw):
+        with pytest.raises(PlanningError, match="non-negative"):
+            EnergyObjective(unit_spec(20), **kw)
 
     def test_plan_reports_tiers_and_splits(self):
         spec = ChainSpec.homogeneous(24, fwd_cost=10.0)
@@ -232,13 +262,14 @@ class TestFigure1Dominance:
     def test_homogeneous_chain_pointwise_byte_dominance(self):
         """With equal-size activations (input included) the measured
         (peak RAM bytes, cost) pair is pointwise weakly dominant."""
-        from repro.checkpointing import disk_revolve_schedule, revolve_schedule
+        from repro.checkpointing import revolve_schedule
 
         for l, c, w, r in ((21, 2, 1.0, 1.0), (34, 3, 0.5, 2.0), (60, 3, 2.0, 2.0)):
             spec = ChainSpec.homogeneous(l, act_bytes=1000)
             sched = joint_schedule(spec, c, UnitCostObjective(spec, w, r))
-            jt = simulate_tiered(sched, spec)
-            rv = simulate_tiered(revolve_schedule(l, c), spec)
-            dr = simulate_tiered(disk_revolve_schedule(l, c), spec)
-            assert jt.peak_memory_bytes <= min(rv.peak_memory_bytes, dr.peak_memory_bytes)
-            assert jt.total_cost(w, r) <= min(rv.total_cost(w, r), dr.total_cost(w, r)) + 1e-9
+            jt = run_tiered(sched, spec)
+            rv = run_tiered(revolve_schedule(l, c), spec)
+            dr = run_tiered(ref.disk_revolve_schedule(l, c), spec)
+            assert jt[1].peak_bytes <= min(rv[1].peak_bytes, dr[1].peak_bytes)
+            totals = [unit_total(run, disk, w, r) for run, _, disk in (jt, rv, dr)]
+            assert totals[0] <= min(totals[1:]) + 1e-9

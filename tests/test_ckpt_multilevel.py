@@ -1,5 +1,7 @@
 """Two-level (disk) checkpointing: DP limits, exact schedules, tiers."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,10 +12,19 @@ from repro.checkpointing import (
     disk_revolve_schedule,
     disk_revolve_splits,
     opt_forwards,
+    revolve_schedule,
     simulate,
-    simulate_tiered,
 )
+from repro.engine import TieredBackend, execute
 from repro.errors import ScheduleError
+
+
+def run_tiered(sch, spec=None):
+    """Execute on a pure-counting tiered backend: (run, memory, disk)."""
+    if spec is None:
+        spec = ChainSpec.homogeneous(sch.length)
+    run = execute(sch, TieredBackend(spec))
+    return run, run.tier("memory"), run.tier("disk")
 
 
 class TestCostLimits:
@@ -60,6 +71,14 @@ class TestCostLimits:
         with pytest.raises(ScheduleError):
             disk_revolve_cost(5, 1, write_cost=-1.0)
 
+    @pytest.mark.parametrize("fn", [disk_revolve_cost, disk_revolve_splits, disk_revolve_schedule])
+    @pytest.mark.parametrize("w, r", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_nan_prices_rejected(self, fn, w, r):
+        """NaN fails every comparison, so a bare ``< 0`` check lets it
+        through and the plan silently never pages."""
+        with pytest.raises(ScheduleError, match="non-negative"):
+            fn(20, 2, w, r)
+
 
 class TestSplits:
     def test_no_splits_when_disk_useless(self):
@@ -86,14 +105,15 @@ class TestSchedule:
     @settings(max_examples=80, deadline=None)
     def test_schedule_achieves_dp_cost(self, l, c, w, r):
         sch = disk_revolve_schedule(l, c, w, r)
-        stats = simulate_tiered(sch)
-        assert stats.total_cost(w, r) == pytest.approx(disk_revolve_cost(l, c, w, r))
-        assert stats.peak_memory_slots <= c
+        run, mem, disk = run_tiered(sch)
+        total = run.forward_steps + w * disk.writes + r * disk.reads
+        assert total == pytest.approx(disk_revolve_cost(l, c, w, r))
+        assert mem.peak_slots <= c
 
     def test_pure_revolve_fallback(self):
         sch = disk_revolve_schedule(10, 3, 1e9, 1e9)
-        assert sch.strategy == "revolve"
-        assert simulate_tiered(sch).disk_writes == 0
+        assert sch.actions == revolve_schedule(10, 3).actions
+        assert run_tiered(sch)[2].writes == 0
 
     def test_disk_slots_use_reserved_ids(self):
         sch = disk_revolve_schedule(40, 2, 1.0, 1.0)
@@ -104,8 +124,8 @@ class TestSchedule:
         """Every disk base is read back except the rightmost segment's,
         whose activation is still in the cursor when backward starts."""
         sch = disk_revolve_schedule(40, 2, 1.0, 1.0)
-        stats = simulate_tiered(sch)
-        assert stats.disk_reads == stats.disk_writes - 1
+        _, _, disk = run_tiered(sch)
+        assert disk.reads == disk.writes - 1
 
     def test_flat_simulator_validates(self):
         sch = disk_revolve_schedule(25, 2, 1.0, 0.5)
@@ -115,9 +135,9 @@ class TestSchedule:
     def test_byte_accounting_by_tier(self):
         spec = ChainSpec.homogeneous(12, act_bytes=10)
         sch = disk_revolve_schedule(12, 2, 0.5, 0.5)
-        stats = simulate_tiered(sch, spec)
-        assert stats.peak_memory_bytes <= 2 * 10
-        assert stats.peak_disk_bytes >= 10
+        _, mem, disk = run_tiered(sch, spec)
+        assert mem.peak_bytes <= 2 * 10
+        assert disk.peak_bytes >= 10
 
     def test_drives_real_executor_with_exact_gradients(self):
         """Disk slots are ordinary slot ids to the NumPy executor: a

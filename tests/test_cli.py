@@ -128,6 +128,12 @@ class TestExtensionCommands:
         out = run(capsys, "disk-revolve", "--length", "50", "--mem-slots", "2")
         assert "two-level optimal cost" in out
 
+    def test_disk_revolve_rejects_nan_cost(self, capsys):
+        from repro.errors import ScheduleError
+
+        with pytest.raises(ScheduleError, match="non-negative"):
+            main(["disk-revolve", "--length", "20", "--disk-cost", "nan"])
+
     def test_campaign(self, capsys):
         out = run(capsys, "campaign", "--crossings", "200", "--target", "0.8")
         assert "target reached" in out
