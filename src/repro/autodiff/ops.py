@@ -1,18 +1,22 @@
 """Vectorized NumPy primitives for the training substrate.
 
-Convolution uses im2col/col2im (no Python loops over pixels, per the
-vectorization guidance for numerical Python); pooling uses stride tricks
-via reshape when the window tiles exactly, falling back to im2col
-otherwise.  All arrays are NCHW float64 by default for gradient-check
-accuracy; the layers cast as configured.
+Convolution reads a zero-copy ``sliding_window_view`` of the padded
+input and copies it once per GEMM, into the layout that GEMM reads;
+:func:`col2im` folds with one strided slice-add per kernel offset, in
+``np.add.at``'s order.  Results equal the former gather/scatter kernels
+bit for bit (~1e-12 relative if N = 1, C*kh*kw = 1 or O = oh*ow = 1).
+Pooling reshapes tiling windows and falls back to :func:`im2col`.
+Arrays are NCHW float64 by default; the layers cast as configured.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from ..errors import ShapeError
 
 __all__ = [
-    "im2col_indices",
     "im2col",
     "col2im",
     "conv2d_forward",
@@ -30,31 +34,20 @@ def pad_nchw(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
-def im2col_indices(
-    h: int, w: int, kh: int, kw: int, stride: int, padding: int
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Row/col gather indices for im2col on padded input.
-
-    Returns ``(rows, cols, oh, ow)`` where ``rows``/``cols`` have shape
-    ``(kh*kw, oh*ow)``.
-    """
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    r0 = np.repeat(np.arange(kh), kw).reshape(-1, 1)
-    c0 = np.tile(np.arange(kw), kh).reshape(-1, 1)
-    r1 = stride * np.repeat(np.arange(oh), ow).reshape(1, -1)
-    c1 = stride * np.tile(np.arange(ow), oh).reshape(1, -1)
-    return r0 + r1, c0 + c1, oh, ow
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """Zero-copy view ``(N, C, oh, ow, kh, kw)`` of the padded input's windows."""
+    h, w = x.shape[2:]
+    if h + 2 * padding < kh or w + 2 * padding < kw:
+        raise ShapeError(f"{kh}x{kw} window does not fit the {h}x{w} input padded by {padding}")
+    view = sliding_window_view(pad_nchw(x, padding), (kh, kw), axis=(2, 3))
+    return view[:, :, ::stride, ::stride]
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> tuple[np.ndarray, int, int]:
     """Unfold NCHW ``x`` into columns of shape ``(N, C*kh*kw, oh*ow)``."""
-    n, c, h, w = x.shape
-    rows, cols, oh, ow = im2col_indices(h, w, kh, kw, stride, padding)
-    xp = pad_nchw(x, padding)
-    # gather -> (N, C, kh*kw, oh*ow) -> (N, C*kh*kw, oh*ow)
-    patches = xp[:, :, rows, cols]
-    return patches.reshape(n, c * kh * kw, oh * ow), oh, ow
+    win = _windows(x, kh, kw, stride, padding)
+    n, c, oh, ow = win.shape[:4]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
 def col2im(
@@ -65,14 +58,18 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back to NCHW."""
+    """Adjoint of :func:`im2col`: fold columns back to NCHW.
+
+    No two windows share a pixel at one kernel offset, so each offset is
+    one strided slice-add; offsets run in ``np.add.at``'s order.
+    """
     n, c, h, w = x_shape
-    rows, colidx, oh, ow = im2col_indices(h, w, kh, kw, stride, padding)
     hp, wp = h + 2 * padding, w + 2 * padding
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     xp = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    patches = cols.reshape(n, c, kh * kw, oh * ow)
-    # np.add.at performs the required scatter-add over overlapping windows.
-    np.add.at(xp, (slice(None), slice(None), rows, colidx), patches)
+    patches = cols.reshape(n, c, kh, kw, oh, ow)
+    for i, j in np.ndindex(kh, kw):
+        xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += patches[:, :, i, j]
     if padding == 0:
         return xp
     return xp[:, :, padding:-padding, padding:-padding]
@@ -83,12 +80,13 @@ def conv2d_forward(
 ) -> np.ndarray:
     """NCHW convolution: weight ``(O, C, kh, kw)``, optional bias ``(O,)``."""
     o, c, kh, kw = weight.shape
-    cols, oh, ow = im2col(x, kh, kw, stride, padding)
-    wmat = weight.reshape(o, c * kh * kw)
-    out = np.einsum("ok,nkp->nop", wmat, cols, optimize=True)
+    win = _windows(x, kh, kw, stride, padding)
+    n, _, oh, ow = win.shape[:4]
+    rows = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * kh * kw)
+    out = np.dot(rows, weight.reshape(o, -1).T).reshape(n, oh, ow, o).transpose(0, 3, 1, 2)
     if bias is not None:
-        out += bias.reshape(1, o, 1)
-    return out.reshape(x.shape[0], o, oh, ow)
+        out += bias.reshape(1, o, 1, 1)
+    return out
 
 
 def conv2d_backward(
@@ -101,15 +99,17 @@ def conv2d_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Gradients (dx, dweight, dbias) for :func:`conv2d_forward`."""
     o, c, kh, kw = weight.shape
-    n = x.shape[0]
-    cols, oh, ow = im2col(x, kh, kw, stride, padding)
+    win = _windows(x, kh, kw, stride, padding)
+    n, _, oh, ow = win.shape[:4]
     dy2 = dy.reshape(n, o, oh * ow)
-    wmat = weight.reshape(o, c * kh * kw)
-    dweight = np.einsum("nop,nkp->ok", dy2, cols, optimize=True).reshape(weight.shape)
-    dcols = np.einsum("ok,nop->nkp", wmat, dy2, optimize=True)
+    # K-major so the einsum's GEMM reads it in place; freed before dcols exists.
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(c * kh * kw, n, oh * ow)
+    dweight = np.einsum("nop,nkp->ok", dy2, cols.transpose(1, 0, 2), optimize=True)
+    del win, cols
+    dcols = np.einsum("ok,nop->nkp", weight.reshape(o, -1), dy2, optimize=True)
     dx = col2im(dcols, x.shape, kh, kw, stride, padding)
     dbias = dy2.sum(axis=(0, 2)) if with_bias else None
-    return dx, dweight, dbias
+    return dx, dweight.reshape(weight.shape), dbias
 
 
 def maxpool2d_forward(x: np.ndarray, k: int, stride: int | None = None) -> tuple[np.ndarray, np.ndarray]:

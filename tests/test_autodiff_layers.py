@@ -117,6 +117,10 @@ class TestShapesAndErrors:
         with pytest.raises(ShapeError):
             ConvLayer(2, 3, 3, rng).forward(rng.normal(size=(1, 5, 8, 8)))
 
+    def test_maxpool_rejects_input_smaller_than_window(self, rng):
+        with pytest.raises(ShapeError, match=r"2x2 window .* 1x1 input"):
+            MaxPoolLayer(2).forward(rng.normal(size=(2, 3, 1, 1)))
+
     def test_batchnorm_rejects_3d(self, rng):
         with pytest.raises(ShapeError):
             BatchNormLayer(4).forward(rng.normal(size=(2, 4, 4)))

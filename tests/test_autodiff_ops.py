@@ -1,5 +1,7 @@
 """Numerical primitives: im2col round trips and convolution gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.autodiff.ops import (
     maxpool2d_backward,
     maxpool2d_forward,
 )
+from repro.errors import ShapeError
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -124,3 +127,56 @@ class TestMaxPool:
         x = rng.normal(size=(1, 1, 5, 5))
         out, _ = maxpool2d_forward(x, 2)
         assert out.shape == (1, 1, 2, 2)
+
+
+class TestWindowTooLarge:
+    def test_conv_names_the_sizes(self):
+        x = np.zeros((1, 1, 2, 2))
+        with pytest.raises(ShapeError, match=r"5x3 window .* 2x2 input padded by 1"):
+            conv2d_forward(x, np.zeros((1, 1, 5, 3)), None, 1, 1)
+
+    def test_conv_backward(self):
+        x, w, dy = np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)), np.zeros((1, 1, 1, 1))
+        with pytest.raises(ShapeError, match=r"3x3 window"):
+            conv2d_backward(x, w, dy, 1, 0, False)
+
+
+class TestConvWorkspace:
+    """Allocator truth: each conv kernel holds one column buffer, not two.
+
+    At the benchmark's conv shape (batch 32, 16 -> 16 channels, 16x16,
+    3x3, padding 1) one float64 column buffer, N*C*kh*kw*oh*ow values,
+    is 9.44 MB.  The padded input, the output and the gradients add
+    well under half a buffer, so a peak above 1.5 buffers means a second
+    column-sized copy is alive.
+    """
+
+    N, C, O, HW, K = 32, 16, 16, 16, 3
+    BOUND = 1.5 * N * C * K * K * HW * HW * 8
+
+    @pytest.fixture(scope="class")
+    def tensors(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(self.N, self.C, self.HW, self.HW))
+        weight = rng.normal(size=(self.O, self.C, self.K, self.K))
+        bias = rng.normal(size=self.O)
+        dy = rng.normal(size=(self.N, self.O, self.HW, self.HW))
+        return x, weight, bias, dy
+
+    @staticmethod
+    def _peak(work) -> int:
+        """Allocator peak of ``work()``, counting only what it allocates."""
+        tracemalloc.start()
+        try:
+            work()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_forward_peak(self, tensors):
+        x, weight, bias, _ = tensors
+        assert self._peak(lambda: conv2d_forward(x, weight, bias, 1, 1)) <= self.BOUND
+
+    def test_backward_peak(self, tensors):
+        x, weight, _, dy = tensors
+        assert self._peak(lambda: conv2d_backward(x, weight, dy, 1, 1, True)) <= self.BOUND
