@@ -4,9 +4,10 @@ Two benches share this file:
 
 * the original 10-node federation cost/benefit sweep (accuracy vs radio
   across transfer-value assumptions, ``fleet.csv``);
-* the fleet-engine throughput ladder — legacy Python-loop engine vs its
-  bit-exact vectorized twin vs the native event-driven megafleet —
-  reported as simulated device-days per second of wall clock in
+* the fleet-engine throughput ladder — the per-node Python loop frozen
+  in ``tests/fleet_reference.py`` vs the vectorized ``simulate_fleet``
+  it is bit-exact to vs the native event-driven megafleet — reported as
+  simulated device-days per second of wall clock in
   ``BENCH_fleet.json``.  The megafleet row is a hard gate: the ROADMAP's
   million-device north star requires ≥ 1M device-days/s.
 
@@ -17,8 +18,9 @@ can run this file with the plain pytest it has.
 import time
 
 from repro.edge import FleetConfig, simulate_fleet
-from repro.megafleet import preset_config, run_megafleet, simulate_fleet_vectorized
+from repro.megafleet import preset_config, run_megafleet
 from repro.units import GB
+from tests.fleet_reference import reference_simulate_fleet
 
 #: the hard throughput gate for the native engine (device-days / s)
 MEGAFLEET_GATE = 1_000_000
@@ -69,16 +71,16 @@ def test_fleet_federation_tradeoff(outdir):
 
 def test_fleet_engine_throughput(bench_json):
     """Loop vs vectorized vs megafleet, gated at 1M device-days/s."""
-    # Legacy loop and its vectorized twin run the same config; the loop
-    # gets a small fleet (it is the slow one being measured).
+    # The frozen per-node loop and simulate_fleet run the same model; the
+    # loop gets a small fleet (it is the slow one being measured).
     loop_cfg = FleetConfig(
         n_nodes=500, days=30, crash_rate_per_day=0.02, federation_period=5, seed=0
     )
-    loop_res, loop_s = _timed(simulate_fleet, loop_cfg)
+    loop_res, loop_s = _timed(reference_simulate_fleet, loop_cfg)
     vec_cfg = FleetConfig(
         n_nodes=20_000, days=30, crash_rate_per_day=0.02, federation_period=5, seed=0
     )
-    vec_res, vec_s = _timed(simulate_fleet_vectorized, vec_cfg)
+    vec_res, vec_s = _timed(simulate_fleet, vec_cfg)
 
     mega_cfg = preset_config(
         "mixed", 1_000_000, days=30, federation_period=0, report_every=0, seed=0

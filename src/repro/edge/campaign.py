@@ -54,7 +54,8 @@ class LearningCurve:
         closed form with ``np.exp`` so a whole fleet's accuracies cost
         one vectorized expression instead of a per-node Python loop.
         The two may differ in the last ulp (libm vs SIMD exp), which is
-        why both fleet engines use the *array* path throughout.
+        why :func:`~repro.edge.fleet.simulate_fleet` and
+        :mod:`repro.megafleet` use the *array* path throughout.
         """
         if isinstance(n_images, np.ndarray):
             if n_images.size and float(n_images.min()) < 0:

@@ -29,6 +29,7 @@ counts, lost work and downtime instead of assuming full availability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +52,9 @@ def quantize_effective(effective: np.ndarray) -> np.ndarray:
 
     Effective samples (own harvest + federation-borrowed fraction) are
     fractional; the learning curve is defined on whole images.  Both
-    fleet engines — this legacy loop and :mod:`repro.megafleet` — floor
-    them through this single function before pricing accuracy, so the
-    day-by-day trajectory and the final accuracies cannot quantize
+    fleet engines — :func:`simulate_fleet` and :mod:`repro.megafleet` —
+    floor them through this single function before pricing accuracy, so
+    the day-by-day trajectory and the final accuracies cannot quantize
     differently.  ``np.floor`` is identical to the historical
     ``int(e)`` truncation for the non-negative values that arise here,
     but is defined once and vectorized.
@@ -98,8 +99,17 @@ class FleetConfig:
             raise PlanningError("crash_rate_per_day must be in [0, 1)")
         if self.snapshot_period_days < 1:
             raise PlanningError("snapshot_period_days must be >= 1")
-        if self.outage_days_mean < 0:
-            raise PlanningError("outage_days_mean must be >= 0")
+        # Negated comparisons, so NaN fails each check instead of passing it.
+        if not 0.0 <= self.outage_days_mean < math.inf:
+            raise PlanningError("outage_days_mean must be finite and >= 0")
+        if not 0.0 <= self.crossings_per_day_mean < math.inf:
+            raise PlanningError("crossings_per_day_mean must be finite and >= 0")
+        if not self.images_per_crossing >= 0:
+            raise PlanningError("images_per_crossing must be >= 0")
+        if not self.traffic_shape > 0:
+            raise PlanningError("traffic_shape must be > 0")
+        if not self.model_bytes >= 0:
+            raise PlanningError("model_bytes must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -165,6 +175,11 @@ def simulate_fleet(cfg: FleetConfig) -> FleetResult:
     sits out a geometric outage, then rejoins.  The happy path
     (``crash_rate_per_day == 0``) draws exactly the same random stream
     as before faults existed, so seeded results are unchanged.
+
+    Every per-day update is an array expression over the whole fleet;
+    the struck nodes' outages are one batched draw.  The result is
+    bit-identical to the per-node loop frozen in
+    ``tests/fleet_reference.py``.
     """
     rng = np.random.default_rng(cfg.seed)
     tracer = get_tracer()
@@ -196,36 +211,37 @@ def simulate_fleet(cfg: FleetConfig) -> FleetResult:
             if cfg.crash_rate_per_day:
                 up_idx = np.flatnonzero(up)
                 struck = up_idx[rng.random(up_idx.size) < cfg.crash_rate_per_day]
-                for i in struck:
-                    lost_now = own[i] - snapshotted[i]
-                    lost[i] += lost_now
-                    own[i] = snapshotted[i]
-                    crashes[i] += 1
-                    if cfg.outage_days_mean > 0:
-                        outage = int(rng.geometric(min(1.0, 1.0 / cfg.outage_days_mean)))
-                    else:
-                        outage = 0
-                    down_until[i] = day + 1 + outage
-                    downtime[i] += outage
-                    if tracer.enabled:
-                        tracer.event(
-                            "node_crash",
-                            category="fault",
-                            day=day,
-                            node=int(i),
-                            lost_samples=float(lost_now),
-                            rejoin_day=int(down_until[i]),
-                        )
                 if struck.size:
+                    lost_now = own[struck] - snapshotted[struck]
+                    lost[struck] += lost_now
+                    own[struck] = snapshotted[struck]
+                    crashes[struck] += 1
+                    if cfg.outage_days_mean > 0:
+                        # One batched draw consumes the stream exactly as
+                        # one scalar draw per struck node would.
+                        outages = rng.geometric(
+                            min(1.0, 1.0 / cfg.outage_days_mean), size=struck.size
+                        )
+                    else:
+                        outages = 0
+                    down_until[struck] = day + 1 + outages
+                    downtime[struck] += outages
                     up = down_until <= day
+                    if tracer.enabled:
+                        for i, lost_i in zip(struck.tolist(), lost_now.tolist()):
+                            tracer.event(
+                                "node_crash",
+                                category="fault",
+                                day=day,
+                                node=i,
+                                lost_samples=lost_i,
+                                rejoin_day=int(down_until[i]),
+                            )
                 # Durable snapshot day: surviving nodes persist their harvest.
                 if day % cfg.snapshot_period_days == 0:
                     snapshotted[up] = own[up]
             if cfg.federation_period and day % cfg.federation_period == 0:
-                total = own.sum()
-                for i in range(cfg.n_nodes):
-                    others_mean = (total - own[i]) / max(1, cfg.n_nodes - 1)
-                    borrowed[i] = cfg.transfer_value * others_mean
+                borrowed = cfg.transfer_value * ((own.sum() - own) / max(1, cfg.n_nodes - 1))
                 radio += 2 * cfg.model_bytes * cfg.n_nodes
                 rounds += 1
                 if tracer.enabled:

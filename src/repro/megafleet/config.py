@@ -17,6 +17,7 @@ unique and renaming a cohort reseeds it.  Reordering cohorts does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from ..errors import PlanningError
 from ..edge.campaign import LearningCurve
@@ -81,8 +82,8 @@ class DeviceCohort:
     mtbf_days: float = 0.0
     #: days between durable on-device snapshots
     snapshot_period_days: int = 1
-    #: mean extra down days after a crash (geometric, as in the legacy
-    #: fleet: the rejoin probability each day is min(1, 1/mean))
+    #: mean extra down days after a crash (geometric, as in
+    #: ``simulate_fleet``: the rejoin probability each day is min(1, 1/mean))
     outage_days_mean: float = 1.0
 
     def __post_init__(self) -> None:
@@ -100,17 +101,18 @@ class DeviceCohort:
                 f"cohort {self.name!r}: unknown storage {self.storage!r} "
                 f"(have: {sorted(STORAGE_PROFILES)})"
             )
-        if self.crossings_per_day_mean <= 0 or self.images_per_crossing <= 0:
+        # Negated comparisons, so NaN fails each check instead of passing it.
+        if not (self.crossings_per_day_mean > 0 and self.images_per_crossing > 0):
             raise PlanningError(f"cohort {self.name!r}: traffic rates must be positive")
-        if self.traffic_shape < 1:
-            raise PlanningError(f"cohort {self.name!r}: traffic_shape must be >= 1")
+        if not isinstance(self.traffic_shape, Integral) or self.traffic_shape < 1:
+            raise PlanningError(f"cohort {self.name!r}: traffic_shape must be an integer >= 1")
         if not 0.0 < self.duty_cycle <= 1.0:
             raise PlanningError(f"cohort {self.name!r}: duty_cycle must be in (0, 1]")
-        if self.mtbf_days < 0:
+        if not self.mtbf_days >= 0:
             raise PlanningError(f"cohort {self.name!r}: mtbf_days must be >= 0")
         if self.snapshot_period_days < 1:
             raise PlanningError(f"cohort {self.name!r}: snapshot_period_days must be >= 1")
-        if self.outage_days_mean < 0:
+        if not self.outage_days_mean >= 0:
             raise PlanningError(f"cohort {self.name!r}: outage_days_mean must be >= 0")
 
     @property
@@ -211,7 +213,7 @@ def preset_config(
     """Build a :class:`MegaFleetConfig` from a named fleet shape.
 
     ``uniform`` is one Pi-4-class cohort with a 90-day MTBF (the closest
-    analogue of the legacy :class:`~repro.edge.fleet.FleetConfig`
+    analogue of the :class:`~repro.edge.fleet.FleetConfig`
     defaults plus faults); ``mixed`` is the four-generation
     heterogeneous fleet.
     """

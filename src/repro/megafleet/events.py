@@ -1,6 +1,6 @@
 """Day-bucketed event queue: the "event-driven" half of the engine.
 
-The legacy fleet loop touches every node every day.  At 10^6 devices
+``simulate_fleet`` touches every node every day.  At 10^6 devices
 over long horizons most of that work is nothing happening — a device
 with a 120-day MTBF crashes ~0.25 times in a month.  The megafleet
 engine instead accrues harvest in closed form between events and only
@@ -10,7 +10,7 @@ wakes up on days where something changes state:
 * ``FEDERATION`` — a model-averaging round reprices ``borrowed``;
 * ``REPORT``  — an aggregate trajectory sample is due.
 
-Events on the same day fire in that order, matching the legacy loop's
+Events on the same day fire in that order, matching ``simulate_fleet``'s
 within-day sequence (crashes are applied before the federation round,
 and stats are taken at end of day).  A quiet day never enters the heap,
 so the per-day cost is O(devices touched by events), not O(n_devices).

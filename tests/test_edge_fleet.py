@@ -72,6 +72,28 @@ class TestFleet:
         with pytest.raises(PlanningError):
             FleetConfig(outage_days_mean=-0.5)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(outage_days_mean=float("nan")),
+            dict(outage_days_mean=float("inf")),
+            dict(traffic_shape=0.0),
+            dict(traffic_shape=-1.0),
+            dict(traffic_shape=float("nan")),
+            dict(crossings_per_day_mean=-1.0),
+            dict(crossings_per_day_mean=float("nan")),
+            dict(crossings_per_day_mean=float("inf")),
+            dict(images_per_crossing=-1.0),
+            dict(images_per_crossing=float("nan")),
+            dict(model_bytes=-1),
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_validation_rejects_nan_and_negative_inputs(self, kw):
+        """Each of these used to be accepted, then misbehave mid-run."""
+        with pytest.raises(PlanningError):
+            FleetConfig(**kw)
+
 
 class TestFleetFaults:
     def test_happy_path_rng_stream_unchanged(self):

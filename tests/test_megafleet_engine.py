@@ -286,12 +286,18 @@ class TestPresetsAndValidation:
             dict(mtbf_days=-1.0),
             dict(snapshot_period_days=0),
             dict(outage_days_mean=-0.1),
+            dict(mtbf_days=float("nan")),
+            dict(outage_days_mean=float("nan")),
+            dict(crossings_per_day_mean=float("nan")),
+            dict(images_per_crossing=float("nan")),
+            dict(traffic_shape=2.5),
+            dict(traffic_shape=2.0),
         ],
     )
     def test_cohort_validation(self, kw):
         base = dict(name="c", count=10)
         base.update(kw)
-        with pytest.raises(PlanningError):
+        with pytest.raises(PlanningError, match="cohort 'c'"):
             DeviceCohort(**base)
 
     def test_config_rejects_duplicate_cohort_names(self):
