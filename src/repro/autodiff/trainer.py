@@ -64,7 +64,7 @@ class TrainerConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.rho is not None and self.rho < 1.0:
+        if self.rho is not None and not self.rho >= 1.0:  # NaN fails too
             raise ValueError("rho must be >= 1")
         if self.slots is not None and self.slots < 1:
             raise ValueError("slots must be >= 1")

@@ -43,9 +43,10 @@ class ChainSpec:
             )
         if len(self.bwd_cost) != l:
             raise ScheduleError(f"bwd_cost must have length l={l}")
-        if any(b < 0 for b in self.act_bytes):
+        # ``not x >= 0`` so that NaN fails too.
+        if any(not b >= 0 for b in self.act_bytes):
             raise ScheduleError("activation sizes must be non-negative")
-        if any(c < 0 for c in self.fwd_cost) or any(c < 0 for c in self.bwd_cost):
+        if any(not c >= 0 for c in self.fwd_cost) or any(not c >= 0 for c in self.bwd_cost):
             raise ScheduleError("step costs must be non-negative")
 
     # -- constructors -----------------------------------------------------

@@ -26,11 +26,16 @@ capacity* (:meth:`SegmentDP.free_units`) and what a snapshot at ``m``
 *charges* against it (:meth:`SegmentDP.snapshot_units`).  The joint
 rematerialization+paging planner (:mod:`repro.checkpointing.joint`)
 instantiates the same core with objective-priced step costs for its
-in-RAM segment reversals.
+in-RAM segment reversals, and Revolve is its uniform-cost instance
+(:class:`~repro.checkpointing.revolve.RevolveDP`, which answers
+:meth:`SegmentDP.cost` / :meth:`SegmentDP.split` from the closed form
+and split table instead of searching).
 
 Both return optimal extra-forward cost and can materialize executable
-schedules.  Complexity is O(l³·c) / O(l³·levels); intended for block
-chains (l ≲ 60), not the homogenized 152-step chains (use Revolve there).
+schedules; :meth:`SegmentDP.emit` is the one reversal emitter every
+planner in the package ends with.  Complexity is O(l³·c) /
+O(l³·levels); intended for block chains (l ≲ 60), not the homogenized
+152-step chains (use Revolve there).
 """
 
 from __future__ import annotations
@@ -66,7 +71,8 @@ class SegmentDP:
     Subclasses define the capacity model via :meth:`free_units` (how many
     snapshot units a budget leaves free inside a segment) and
     :meth:`snapshot_units` (what parking ``x_m`` charges).  ``solve``
-    returns the optimal pure-advance cost and the argmin first checkpoint;
+    returns the optimal pure-advance cost and the argmin first checkpoint
+    (:meth:`cost` and :meth:`split` ask for one half each);
     :meth:`emit` materializes the corresponding actions.
     """
 
@@ -144,6 +150,14 @@ class SegmentDP:
         self._memo[key] = (best, best_m)
         return best, best_m
 
+    def cost(self, i: int, j: int, budget: int) -> float:
+        """Optimal advance cost of reversing ``[i, j)`` (``solve``'s first half)."""
+        return self.solve(i, j, budget)[0]
+
+    def split(self, i: int, j: int, budget: int) -> int:
+        """Optimal first checkpoint of ``[i, j)``; 0 = no split."""
+        return self.solve(i, j, budget)[1]
+
     def emit(
         self,
         actions: list[Action],
@@ -165,7 +179,7 @@ class SegmentDP:
                 actions.append(restore(base_slot))
                 actions.append(adjoint(i + 1))
                 return
-            _, m = self.solve(i, j, budget)
+            m = self.split(i, j, budget)
             if m == 0 or not pool:
                 for b in range(j, i, -1):
                     actions.append(restore(base_slot))

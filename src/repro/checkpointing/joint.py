@@ -13,11 +13,13 @@ Model
 A plan is a chain of *paged segments*: split positions
 ``0 = p_0 < p_1 < ... < p_k < l`` with a tier choice ``t_i`` per split.
 The forward sweep writes ``x_{p_i}`` to tier ``t_i``; segments are then
-reversed right to left, each one a pure in-RAM reversal (the shared
-:class:`~repro.checkpointing.dynprog.SegmentDP` core / Revolve closed
-form) after one read of its base — except the rightmost, whose base is
-still in the cursor.  With ``F(b, t)`` the optimal cost of reversing the
-suffix ``[b, l)`` given ``x_b`` already written to tier ``t``:
+reversed right to left, each one a pure in-RAM reversal by one
+:class:`~repro.checkpointing.dynprog.SlotSegmentDP` — a
+:class:`~repro.checkpointing.revolve.RevolveDP` (closed form) when every
+step costs the same — after one read of its base, except the rightmost,
+whose base is still in the cursor.  With ``F(b, t)`` the optimal cost
+of reversing the suffix ``[b, l)`` given ``x_b`` already written to
+tier ``t``:
 
     F(b, t) = min( inner(b, l),
                    min_{b<m<l, u} [ adv(b, m) + W_u(m) + F(m, u)
@@ -95,7 +97,7 @@ from .actions import (
 )
 from .chainspec import ChainSpec
 from .dynprog import SlotSegmentDP
-from .revolve import _SplitFn, _emit_reverse, opt_forwards
+from .revolve import RevolveDP
 from .schedule import Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -421,55 +423,27 @@ class JointPlan:
         return sum(1 for _, t in self.splits if _tier_zipped(t))
 
 
-class _InnerRevolve:
-    """Closed-form inner solver for uniform per-step objective cost."""
-
-    def __init__(self, c: int, unit: float) -> None:
-        self.c = c
-        self.unit = unit
-
-    def cost(self, i: int, j: int) -> float:
-        return opt_forwards(j - i, self.c) * self.unit if j > i else 0.0
-
-    def emit(self, actions: list[Action], i: int, j: int, split_for: _SplitFn) -> None:
-        seg_len = j - i
-        c_seg = min(self.c, max(1, seg_len - 1))
-        pool = list(range(1, c_seg))
-        _emit_reverse(actions, i, seg_len, 0, pool, split_for)
-
-
-class _InnerSegmentDP:
-    """Exact segment-DP inner solver for heterogeneous objective cost."""
-
-    def __init__(self, costs: tuple[float, ...], c: int) -> None:
-        self.dp = SlotSegmentDP(costs)
-        self.c = c
-
-    def cost(self, i: int, j: int) -> float:
-        return self.dp.solve(i, j, self.c)[0] if j > i else 0.0
-
-    def emit(self, actions: list[Action], i: int, j: int, split_for: None) -> None:
-        pool = list(range(1, self.c))
-        self.dp.emit(actions, i, j, self.c, 0, pool)
-
-
-def _make_inner(spec: ChainSpec, c: int, objective: JointObjective):
+def _make_inner(spec: ChainSpec, c: int, objective: JointObjective) -> SlotSegmentDP:
+    """The in-RAM segment reversal: Revolve's closed form on uniform steps."""
     unit = objective.uniform_step
     if unit is not None:
-        return _InnerRevolve(min(c, max(1, spec.length - 1)), unit)
-    costs = tuple(objective.step_cost(k) for k in range(1, spec.length + 1))
-    return _InnerSegmentDP(costs, c)
+        return RevolveDP(spec.length, c, unit)
+    return SlotSegmentDP(tuple(objective.step_cost(k) for k in range(1, spec.length + 1)))
 
 
 def _solve(spec: ChainSpec, c: int, objective: JointObjective):
     """Bottom-up outer DP; returns (cost, splits, inner solver)."""
+    if c < 1:
+        raise ScheduleError("slot count must be >= 1")
+    if objective.spec is not spec and objective.spec != spec:
+        raise PlanningError("objective was built for a different chain")
     l = spec.length
     inner = _make_inner(spec, c, objective)
     tiers = objective.paged_tiers
     # table[(b, t)] = (cost of reversing [b, l) with x_b on tier t,
     #                  first further split m or 0, its tier or -1)
     table: dict[tuple[int, int], tuple[float, int, int]] = {}
-    suffix_inner = [inner.cost(b, l) for b in range(l + 1)]
+    suffix_inner = [inner.cost(b, l, c) for b in range(l + 1)]
     for b in range(l - 1, -1, -1):
         for t in tiers:
             best, best_m, best_u = suffix_inner[b], 0, -1
@@ -478,7 +452,7 @@ def _solve(spec: ChainSpec, c: int, objective: JointObjective):
                 base = (
                     objective.advance_cost(b, m)
                     + read_b
-                    + inner.cost(b, m)
+                    + inner.cost(b, m, c)
                 )
                 for u in tiers:
                     val = base + objective.write_cost(u, m) + table[(m, u)][0]
@@ -514,12 +488,8 @@ def joint_plan(
     slots, priced per access by the objective.  Defaults to
     :class:`UnitCostObjective` (disk-revolve's abstract pricing).
     """
-    if c < 1:
-        raise ScheduleError("slot count must be >= 1")
     if objective is None:
         objective = UnitCostObjective(spec)
-    if objective.spec is not spec and objective.spec != spec:
-        raise PlanningError("objective was built for a different chain")
     cost, splits, _ = _solve(spec, c, objective)
     return JointPlan(
         objective=objective.label,
@@ -556,33 +526,24 @@ def joint_schedule(
     match the objective reproduces the planned cost
     measurement-for-measurement.
     """
-    if c < 1:
-        raise ScheduleError("slot count must be >= 1")
     if objective is None:
         objective = UnitCostObjective(spec)
     l = spec.length
     cost, splits, inner = _solve(spec, c, objective)
     label = f"{family}(c={c})"
-
-    split_for = None
-    if isinstance(inner, _InnerRevolve):
-        if splits:
-            bounds = [p for p, _ in splits]
-            max_seg = max(
-                e - b for b, e in zip(bounds, bounds[1:] + [l])
-            )
-        else:
-            max_seg = l
-        split_for = _SplitFn(max_seg, inner.c)
-
     actions: list[Action] = []
+
+    def reverse(i: int, j: int) -> int:
+        # Revolve caps a segment's budget and pool at the useful slot
+        # count; the segment DP draws on the full budget (hetero_schedule's
+        # convention).  Slot ids are part of the action stream.
+        c_seg = min(c, max(1, j - i - 1)) if isinstance(inner, RevolveDP) else c
+        inner.emit(actions, i, j, c_seg, 0, list(range(1, c_seg)))
+        return c_seg
+
     if not splits:
         actions.append(snapshot(0))
-        inner.emit(actions, 0, l, split_for)
-        # The closed-form inner caps its pool at the useful slot count;
-        # the segment-DP inner draws on the full budget (hetero_schedule's
-        # convention), so the declared budget must match the emitter.
-        c_eff = min(c, max(1, l - 1)) if split_for is not None else c
+        c_eff = reverse(0, l)
         return Schedule(strategy=label, length=l, slots=c_eff, actions=tuple(actions))
 
     positions = [p for p, _ in splits]
@@ -612,7 +573,7 @@ def joint_schedule(
         if i < len(splits) - 1:
             actions.append(restore(paged_slots[i]))
         actions.append(snapshot(0))
-        inner.emit(actions, base, end, split_for)
+        reverse(base, end)
         actions.append(free(0))
         actions.append(free(paged_slots[i]))
 

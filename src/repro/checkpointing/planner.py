@@ -68,7 +68,7 @@ def slots_for_rho(l: int, rho: float, bwd_ratio: float = 1.0) -> int:
     ``rho`` must be ≥ 1; ``rho = 1`` demands no recomputation and returns
     ``l − 1`` (store-all, the ``c+1 = l`` slot footprint).
     """
-    if rho < 1.0:
+    if not rho >= 1.0:  # NaN fails too
         raise PlanningError(f"recompute factor must be >= 1, got {rho}")
     budget = (rho - 1.0) * l * (1.0 + bwd_ratio)
     return min_slots_for_extra(l, budget)
@@ -99,7 +99,7 @@ def slots_for_rhos(
     in a loop, including the validation error for any ρ < 1.
     """
     for rho in rhos:
-        if rho < 1.0:
+        if not rho >= 1.0:  # NaN fails too
             raise PlanningError(f"recompute factor must be >= 1, got {rho}")
     if not rhos:
         return []

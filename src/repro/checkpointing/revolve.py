@@ -22,9 +22,13 @@ semantics), so a chain always executes at least one forward per step;
 ``l·u_f + l·u_b``.  With ``u_f = u_b`` the paper's budget "2ρl total
 computations" is exactly ``extra ≤ 2l(ρ−1)``.
 
-:func:`revolve_schedule` materializes the optimal schedule as an
-executable :class:`~.schedule.Schedule`; the simulator verifies that its
-measured forward count equals ``P(l, c)`` (see tests).
+:class:`RevolveDP` is Revolve as the uniform-cost instance of the
+slot-count segment DP (:class:`~.dynprog.SlotSegmentDP`): costs come
+from the closed form and first splits from the DP table, and schedules
+are emitted by :meth:`~.dynprog.SegmentDP.emit`, the package's one
+reversal emitter.  :func:`revolve_schedule` materializes the optimal
+schedule as an executable :class:`~.schedule.Schedule`; the simulator
+verifies that its measured forward count equals ``P(l, c)`` (see tests).
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ import math
 from functools import lru_cache
 
 from ..errors import PlanningError, ScheduleError
-from .actions import Action, adjoint, advance, free, restore, snapshot
+from .actions import Action, adjoint, advance, restore, snapshot
+from .dynprog import SlotSegmentDP
 from .schedule import Schedule
 
 __all__ = [
@@ -43,6 +48,7 @@ __all__ = [
     "opt_forwards_dp",
     "extra_forwards",
     "min_slots_for_extra",
+    "RevolveDP",
     "revolve_schedule",
     "store_all_schedule",
 ]
@@ -146,9 +152,9 @@ def min_slots_for_extra(l: int, max_extra: float) -> int:
     """Smallest slot count whose recompute overhead is <= ``max_extra``.
 
     ``extra_forwards`` is non-increasing in c, so binary search applies.
-    Raises :class:`~repro.errors.PlanningError` for negative budgets.
+    Raises :class:`~repro.errors.PlanningError` for negative or NaN budgets.
     """
-    if max_extra < 0:
+    if not max_extra >= 0:  # NaN fails too
         raise PlanningError(f"extra-forwards budget must be >= 0, got {max_extra}")
     lo, hi = 1, max(1, l - 1)
     if extra_forwards(l, lo) <= max_extra:
@@ -162,65 +168,38 @@ def min_slots_for_extra(l: int, max_extra: float) -> int:
     return hi
 
 
-def _emit_reverse(
-    actions: list[Action],
-    base: int,
-    length: int,
-    base_slot: int,
-    pool: list[int],
-    split_for: "_SplitFn",
-) -> None:
-    """Emit actions reversing steps ``base+1 .. base+length``.
+class RevolveDP(SlotSegmentDP):
+    """Revolve as the uniform-cost instance of the slot-count segment DP.
 
-    ``x_base`` is stored in ``base_slot``; ``pool`` holds free slot ids.
-    Tail-iterates on the left segment to bound recursion depth by the
-    slot count rather than the chain length.
+    Every step costs ``unit``, so a segment's optimal cost is the closed
+    form ``P(j − i, budget) · unit`` and its first checkpoint is read from
+    the split table of :func:`_dp_tables` (built on the first lookup) —
+    no memoized segment search runs.  :meth:`~.dynprog.SegmentDP.emit`
+    materializes the schedule; ``c`` sizes the split table.
     """
-    while True:
-        if length == 0:
-            return
-        if length == 1:
-            actions.append(restore(base_slot))
-            actions.append(adjoint(base + 1))
-            return
-        if not pool:
-            # Single-slot quadratic reversal of this segment.
-            for b in range(length, 0, -1):
-                actions.append(restore(base_slot))
-                if b > 1:
-                    actions.append(advance(base + b - 1))
-                actions.append(adjoint(base + b))
-            return
-        avail = 1 + len(pool)
-        m = split_for(length, avail)
-        actions.append(restore(base_slot))
-        actions.append(advance(base + m))
-        s = pool.pop()
-        actions.append(snapshot(s))
-        _emit_reverse(actions, base + m, length - m, s, pool, split_for)
-        actions.append(free(s))
-        pool.append(s)
-        length = m
 
+    def __init__(self, l: int, c: int, unit: float = 1.0) -> None:
+        super().__init__((unit,) * l)
+        self.unit = unit
+        self.c_eff = min(c, max(1, l - 1))
+        self._split: list[list[int]] | None = None
 
-class _SplitFn:
-    """Optimal split-point lookup backed by the DP tables."""
+    def cost(self, i: int, j: int, budget: int) -> float:
+        # The closed form saturates at j − i − 1, so ``budget`` needs no cap.
+        return opt_forwards(j - i, budget) * self.unit if j > i else 0.0
 
-    def __init__(self, l: int, c: int) -> None:
-        c_eff = min(c, max(1, l - 1))
-        self._cost, self._split = _dp_tables(l, c_eff)
-        self._c_max = c_eff
-
-    def __call__(self, length: int, avail: int) -> int:
+    def split(self, i: int, j: int, budget: int) -> int:
+        length = j - i
+        if length < 2 or budget < 2:
+            return 0
         if length == 2:
-            return 1  # the only possible split
-        avail = min(avail, self._c_max, length - 1)
-        m = self._split[avail][length]
-        if m < 1:
-            # avail == 1 is handled by the caller's no-pool branch; for
-            # length 3+ with avail >= 2 the DP always records a split.
-            raise ScheduleError(f"no split recorded for length={length}, avail={avail}")
-        return m
+            return i + 1  # the only possible split
+        if self._split is None:
+            self._split = _dp_tables(self.l, self.c_eff)[1]
+        return i + self._split[min(budget, self.c_eff, length - 1)][length]
+
+    def solve(self, i: int, j: int, budget: int) -> tuple[float, int]:
+        return self.cost(i, j, budget), self.split(i, j, budget)
 
 
 def revolve_schedule(l: int, c: int) -> Schedule:
@@ -232,12 +211,8 @@ def revolve_schedule(l: int, c: int) -> Schedule:
     if l < 1 or c < 1:
         raise ScheduleError("require l >= 1 and c >= 1")
     c_eff = min(c, max(1, l - 1))
-    actions: list[Action] = []
-    pool = list(range(c_eff))
-    s0 = pool.pop(0)
-    actions.append(snapshot(s0))  # cursor holds x_0 at start
-    split_for = _SplitFn(l, c_eff)
-    _emit_reverse(actions, base=0, length=l, base_slot=s0, pool=pool, split_for=split_for)
+    actions: list[Action] = [snapshot(0)]  # cursor holds x_0 at start
+    RevolveDP(l, c).emit(actions, 0, l, c_eff, 0, list(range(1, c_eff)))
     return Schedule(strategy="revolve", length=l, slots=c_eff, actions=tuple(actions))
 
 

@@ -7,6 +7,8 @@ is now a unit-price preset of the joint rematerialization+paging DP
 emitter are frozen verbatim below (commit c815ac9) so the differential
 tests in ``tests/test_ckpt_multilevel_reference.py`` can keep checking
 the preset against them: the same actions, slot budget, splits and cost.
+Its Revolve emitter comes from the frozen copy in
+``tests/revolve_reference.py``, not from ``src/``.
 """
 
 from __future__ import annotations
@@ -21,14 +23,11 @@ from repro.checkpointing.actions import (
     restore,
     snapshot,
 )
-from repro.checkpointing.revolve import (
-    _SplitFn,
-    _emit_reverse,
-    opt_forwards,
-    revolve_schedule,
-)
+from repro.checkpointing.revolve import opt_forwards
 from repro.checkpointing.schedule import Schedule
 from repro.errors import ScheduleError
+
+from .revolve_reference import _SplitFn, _emit_reverse, revolve_schedule
 
 __all__ = ["disk_revolve_cost", "disk_revolve_splits", "disk_revolve_schedule"]
 

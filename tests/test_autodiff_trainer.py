@@ -262,6 +262,8 @@ class TestGradientAccumulation:
             TrainerConfig(batch_size=8, micro_batch_size=16)
         with pytest.raises(ValueError):
             TrainerConfig(micro_batch_size=0)
+        with pytest.raises(ValueError, match="rho"):
+            TrainerConfig(rho=float("nan"))
 
 
 class TestLoop:

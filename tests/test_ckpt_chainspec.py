@@ -1,5 +1,7 @@
 """ChainSpec construction and invariants."""
 
+import math
+
 import pytest
 
 from repro.checkpointing import ChainSpec
@@ -47,6 +49,13 @@ class TestValidation:
     def test_negative_cost_rejected(self):
         with pytest.raises(ScheduleError):
             ChainSpec(name="x", act_bytes=(1, 1), fwd_cost=(-1.0,), bwd_cost=(1.0,))
+
+    @pytest.mark.parametrize("fwd, bwd", (((math.nan,), (1.0,)), ((1.0,), (math.nan,))))
+    def test_nan_cost_rejected(self, fwd, bwd):
+        """NaN fails every comparison, so a bare ``< 0`` check let it
+        through and ``opt_forwards_hetero`` returned ``nan``."""
+        with pytest.raises(ScheduleError, match="non-negative"):
+            ChainSpec(name="x", act_bytes=(1, 1), fwd_cost=fwd, bwd_cost=bwd)
 
 
 class TestConstructors:

@@ -183,6 +183,13 @@ class TestScheduleAndProgram:
         with pytest.raises(PlanningError):
             joint_plan(unit_spec(5), 2, UnitCostObjective(unit_spec(6)))
 
+    @pytest.mark.parametrize("other", (4, 6))
+    def test_schedule_rejects_objective_for_other_chain(self, other):
+        """A shorter objective chain used to raise a raw IndexError, a
+        longer one to price the schedule on the wrong chain."""
+        with pytest.raises(PlanningError, match="different chain"):
+            joint_schedule(unit_spec(5), 2, UnitCostObjective(unit_spec(other)))
+
     @pytest.mark.parametrize("w, r", ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)))
     def test_unit_objective_rejects_nan_prices(self, w, r):
         """NaN fails every comparison: a bare ``< 0`` check let it

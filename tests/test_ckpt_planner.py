@@ -15,6 +15,7 @@ from repro.checkpointing import (
     rho_for_budget,
     rho_for_slots,
     slots_for_rho,
+    slots_for_rhos,
 )
 from repro.errors import MemoryBudgetError, PlanningError
 from repro.memory import calibrated_models
@@ -47,6 +48,14 @@ class TestRhoSlots:
     def test_rho_below_one_rejected(self):
         with pytest.raises(PlanningError):
             slots_for_rho(10, 0.99)
+
+    def test_nan_rho_rejected_by_both_inverses(self):
+        """NaN used to give 39 from the scalar inverse and [1] from the
+        batched one, which promises element-for-element agreement."""
+        with pytest.raises(PlanningError):
+            slots_for_rho(40, math.nan)
+        with pytest.raises(PlanningError):
+            slots_for_rhos(40, [math.nan])
 
     def test_bad_bwd_ratio(self):
         with pytest.raises(PlanningError):

@@ -1,5 +1,7 @@
 """Revolve: closed form vs DP vs executed schedules (the paper's core)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,6 +112,10 @@ class TestMinSlots:
     def test_negative_budget_rejected(self):
         with pytest.raises(PlanningError):
             min_slots_for_extra(10, -1)
+
+    def test_nan_budget_rejected(self):
+        with pytest.raises(PlanningError):
+            min_slots_for_extra(40, math.nan)
 
     @given(l=st.integers(2, 150), budget=st.integers(0, 2000))
     @settings(max_examples=150, deadline=None)
