@@ -27,8 +27,10 @@ device.
 
 Every execution runs under the process tracer (:mod:`repro.obs`): one
 ``exec``-category span for the call, one ``action``-category span per
-schedule action (ADVANCE/SNAPSHOT/RESTORE/FREE/ADJOINT) with the
-:class:`~.meter.MemoryMeter` peaks attached as tags on the run span.
+schedule action (ADVANCE/SNAPSHOT/RESTORE/FREE/ADJOINT), and the run's
+byte peaks — from :func:`~repro.engine.program.byte_peaks`, the byte
+model the simulator uses too, over the activation and gradient sizes
+the backend produced — attached as tags on the run span.
 With the default :class:`~repro.obs.NullTracer` the engine skips all
 per-step bookkeeping (``benchmarks/bench_engine.py`` pins ≤ 5%).
 """

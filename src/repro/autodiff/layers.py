@@ -67,6 +67,10 @@ class DenseLayer(TrainLayer):
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, name: str = "dense") -> None:
         super().__init__(name)
+        if in_features < 1 or out_features < 1:
+            raise ShapeError(
+                f"{name}: features must be >= 1, got in={in_features}, out={out_features}"
+            )
         scale = np.sqrt(2.0 / in_features)
         self.params["W"] = rng.normal(0.0, scale, size=(out_features, in_features))
         self.params["b"] = np.zeros(out_features)
@@ -111,6 +115,12 @@ class ConvLayer(TrainLayer):
         name: str = "conv",
     ) -> None:
         super().__init__(name)
+        if kernel_size < 1:
+            raise ShapeError(f"{name}: kernel_size must be >= 1, got {kernel_size}")
+        if stride < 1:
+            raise ShapeError(f"{name}: stride must be >= 1, got {stride}")
+        if padding < 0:
+            raise ShapeError(f"{name}: padding must be >= 0, got {padding}")
         self.stride = stride
         self.padding = padding
         self.with_bias = bias
@@ -142,9 +152,13 @@ class MaxPoolLayer(TrainLayer):
 
     def __init__(self, k: int = 2, name: str = "maxpool") -> None:
         super().__init__(name)
+        if k < 1:
+            raise ShapeError("pool window must be >= 1")
         self.k = k
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 4:
+            raise ShapeError(f"{self.name}: expected NCHW, got {x.ndim}-D")
         out, _ = maxpool2d_forward(x, self.k)
         return out
 
@@ -181,11 +195,17 @@ class BatchNormLayer(TrainLayer):
         self.params["beta"] = np.zeros(num_features)
 
     def _axes_and_shape(self, x: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        if x.ndim not in (2, 4):
+            raise ShapeError(f"{self.name}: expected 2-D or 4-D input, got {x.ndim}-D")
+        features = self.params["gamma"].shape[0]
+        if x.shape[1] != features:
+            raise ShapeError(
+                f"{self.name}: expected {features} features/channels on axis 1, "
+                f"got {x.shape[1]}"
+            )
         if x.ndim == 2:
             return (0,), (1, -1)
-        if x.ndim == 4:
-            return (0, 2, 3), (1, -1, 1, 1)
-        raise ShapeError(f"{self.name}: expected 2-D or 4-D input, got {x.ndim}-D")
+        return (0, 2, 3), (1, -1, 1, 1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         axes, shape = self._axes_and_shape(x)

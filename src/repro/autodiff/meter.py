@@ -1,8 +1,13 @@
-"""Live-byte high-water-mark meter for the checkpointed executor.
+"""Named live-byte high-water-mark meter.
 
 Tracks named allocations (checkpoint slots, the cursor activation, the
-flowing gradient) and records the peak of their sum — the measured analog
-of the simulator's analytic ``peak_bytes``.
+flowing gradient) and records the peak of their sum.  The tensor
+backend no longer uses it: its peaks come from the byte model the
+simulator uses, :func:`repro.engine.program.byte_peaks`.  The meter
+stays because perfbench times ``MemoryMeter.hold`` / ``release`` as its
+``meter.*`` spans, and the frozen executor baselines in
+``benchmarks/bench_engine.py`` and ``benchmarks/bench_obs_overhead.py``
+meter their runs with it.
 
 Releasing a name that is not held is an accounting leak on the caller's
 side.  By default the meter counts it on the shared

@@ -6,8 +6,9 @@ and the tiered-storage model — through a pluggable
 :class:`~repro.engine.backend.Backend`:
 
 * :class:`SimBackend` — ChainSpec cost accounting (no tensors);
-* :class:`TensorBackend` — real ``SequentialNet`` forwards/adjoints with
-  a live-byte meter;
+* :class:`TensorBackend` — real ``SequentialNet`` forwards/adjoints,
+  with peaks from the byte model the analytic path uses
+  (:func:`~repro.engine.program.byte_peaks`);
 * :class:`TieredBackend` — RAM + disk slot tiers priced by
   :class:`~repro.edge.storage.StorageProfile` read/write paths;
 * :class:`CompressedBackend` — TieredBackend plus a

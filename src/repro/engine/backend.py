@@ -12,9 +12,12 @@ are valid and need no defensive checks of their own.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from .stats import CompressionStats, TierStats
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .program import CompiledProgram
 
 __all__ = ["Backend", "BaseBackend"]
 
@@ -46,8 +49,14 @@ class Backend(Protocol):
     @property
     def peak_bytes(self) -> int: ...
 
-    def begin(self) -> None:
-        """Reset state; the cursor now holds ``x_0`` (the batch input)."""
+    def begin(self, program: "CompiledProgram | None") -> None:
+        """Reset state; the cursor now holds ``x_0`` (the batch input).
+
+        ``program`` is the compiled program about to be dispatched; a
+        backend that derives its byte peaks from it after dispatch
+        (:class:`~repro.engine.tensor.TensorBackend`) keeps it, the
+        analytic backends ignore it.
+        """
         ...
 
     def advance(self, start: int, stop: int) -> float:
@@ -82,7 +91,7 @@ class Backend(Protocol):
 class BaseBackend:
     """Optional convenience base: untired, zero extra bookkeeping."""
 
-    def begin(self) -> None:  # pragma: no cover - trivial default
+    def begin(self, program: "CompiledProgram | None") -> None:  # pragma: no cover
         return None
 
     def tier_stats(self) -> tuple[TierStats, ...]:

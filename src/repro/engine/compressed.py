@@ -27,6 +27,7 @@ from .tiered import TieredBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..edge.storage import CompressionModel, StorageProfile
+    from .program import CompiledProgram
 
 __all__ = ["CompressedBackend"]
 
@@ -50,8 +51,8 @@ class CompressedBackend(TieredBackend):
         self._decompress_seconds = 0.0
         self._bytes_saved = 0
 
-    def begin(self) -> None:
-        super().begin()
+    def begin(self, program: "CompiledProgram | None") -> None:
+        super().begin(program)
         self._compress_calls = 0
         self._decompress_calls = 0
         self._compress_seconds = 0.0

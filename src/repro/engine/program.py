@@ -26,12 +26,17 @@ object) and then dispatches the program.  The decompiler
 :func:`program_from_payload` recompiles on load, so a persisted program
 can never smuggle an invalid action sequence past the VM.
 
+:func:`byte_peaks` is the one byte model: a few array passes over a
+program and its activation (and, for real tensors, gradient) sizes give
+the run's slot and live-byte peaks.  The analytic and the tensor
+backend both take their peaks from it.
+
 :func:`run_compiled_sim` is the whole-program fast path for the
-analytic :class:`~repro.engine.sim.SimBackend`: byte peaks from one
-``int64`` cumulative sum over slot deltas, costs from prefix-sum
-differences accumulated with ``np.add.accumulate`` — the same
-left-to-right float additions the per-action dispatch loop performs, so
-the resulting :class:`~repro.engine.stats.RunStats` is bit-identical.
+analytic :class:`~repro.engine.sim.SimBackend`: byte peaks from
+:func:`byte_peaks`, costs from prefix-sum differences accumulated with
+``np.add.accumulate`` — the same left-to-right float additions the
+per-action dispatch loop performs, so the resulting
+:class:`~repro.engine.stats.RunStats` is bit-identical.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ __all__ = [
     "compile_schedule",
     "decompile",
     "program_from_payload",
+    "byte_peaks",
     "run_compiled_sim",
 ]
 
@@ -160,6 +166,24 @@ class CompiledProgram:
     @cached_property
     def aux_list(self) -> tuple[int, ...]:
         return tuple(self.aux.tolist())
+
+    # -- index arrays of the byte model (see byte_peaks) ----------------
+    @cached_property
+    def adv_rows(self) -> np.ndarray:
+        """Row of every ADVANCE, in order."""
+        return _frozen(np.flatnonzero(self.opcodes == OP_ADVANCE))
+
+    @cached_property
+    def adv_bounds(self) -> np.ndarray:
+        """``start + 1, stop + 1`` of every ADVANCE, interleaved.
+
+        Even ``np.maximum.reduceat`` outputs over these bounds are the
+        largest activation each ADVANCE passes through.
+        """
+        bounds = np.empty(2 * self.adv_start.size, np.intp)
+        bounds[0::2] = self.adv_start + 1
+        bounds[1::2] = self.adv_stop + 1
+        return _frozen(bounds)
 
     # -- tier-aware aggregates (derived from the shared slot alphabet) ---
     @cached_property
@@ -443,14 +467,59 @@ def program_from_payload(payload: object) -> CompiledProgram:
     return program
 
 
+def byte_peaks(
+    program: CompiledProgram,
+    act_bytes,
+    grad_bytes=None,
+) -> tuple[int, int]:
+    """``(peak_slot_bytes, peak_bytes)`` of running ``program``.
+
+    ``act_bytes[k]`` is the size of activation ``x_k``, ``k = 0..l``.
+    The live set is the occupied slots plus the cursor's activation,
+    charged at the start (the cursor holds ``x_0``), after every action,
+    and at every activation an ADVANCE passes through.
+
+    ``grad_bytes[k]``, when given, is the size of the gradient with
+    respect to ``x_k`` (0 where there is none).  The live set then also
+    holds the flowing gradient (``dL/dx_{step-1}`` after
+    ``ADJOINT(step)``), and the head adjoint charges its transients
+    beside the slots and the cursor: the replayed output ``x_l``, then
+    the loss gradient.  Without it this is the paper's slots-plus-cursor
+    count.
+
+    A slot and the cursor holding the same array (right after a
+    SNAPSHOT or RESTORE) are both charged, in both counts.
+
+    Each call makes a few ``int64`` arrays of the program's length; the
+    program-only index arrays are cached on ``program``.
+    """
+    act = np.asarray(act_bytes, dtype=np.int64)
+    slot_t = act[program.aux]
+    slot_t *= program.slot_sign
+    np.cumsum(slot_t, out=slot_t)
+    live = act[program.cursor_after]
+    interior = np.maximum.reduceat(np.append(act, 0), program.adv_bounds)
+    live[program.adv_rows] = interior[0::2]
+    live += slot_t
+    peak = int(act[0])
+    if grad_bytes is not None:
+        grad = np.asarray(grad_bytes, dtype=np.int64)
+        l = program.length
+        # flow[b]: the gradient held after b backwards, dL/dx_{l-b}.
+        flow = np.concatenate(([0], grad[l - 1 :: -1]))
+        live += flow[program.backwards_cum]
+        head = int(program.backwards_cum.searchsorted(1))  # ADJOINT(l)
+        peak = max(peak, int(slot_t[head] + act[l - 1] + max(act[l], grad[l])))
+    return max(0, int(slot_t.max())), max(peak, int(live.max()))
+
+
 def run_compiled_sim(program: CompiledProgram, backend) -> RunStats:
     """Whole-program vectorized execution on a :class:`SimBackend`.
 
     Bit-identical to dispatching the program action by action:
 
-    * byte peaks come from an ``int64`` cumulative sum over per-action
-      slot deltas (plus the initial charge, where the cursor holds
-      ``x_0`` and no slot is occupied);
+    * byte peaks come from :func:`byte_peaks` on the chain's activation
+      sizes;
     * per-advance costs are the same prefix-sum differences
       :meth:`ChainSpec.advance_cost <repro.checkpointing.chainspec.ChainSpec.advance_cost>`
       computes, and every cost accumulator uses ``np.add.accumulate`` —
@@ -462,19 +531,8 @@ def run_compiled_sim(program: CompiledProgram, backend) -> RunStats:
     :meth:`~repro.engine.sim.SimBackend.adopt`.
     """
     spec = backend.spec
-    backend.begin()
-    n = len(program)
-    act = np.asarray(spec.act_bytes, dtype=np.int64)
-
-    if n:
-        slot_delta = act[program.aux] * program.slot_sign.astype(np.int64)
-        slot_bytes_t = np.cumsum(slot_delta)
-        peak_slot_bytes = max(0, int(slot_bytes_t.max()))
-        live_t = slot_bytes_t + act[program.cursor_after]
-        peak_bytes = max(int(act[0]), int(live_t.max()))
-    else:
-        peak_slot_bytes = 0
-        peak_bytes = int(act[0])
+    backend.begin(program)
+    peak_slot_bytes, peak_bytes = byte_peaks(program, spec.act_bytes)
 
     prefix = np.asarray(spec.fwd_prefix, dtype=np.float64)
     adv_costs = prefix[program.adv_stop] - prefix[program.adv_start]

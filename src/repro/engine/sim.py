@@ -3,13 +3,20 @@
 Replaces the body of :func:`repro.checkpointing.simulate`: no tensors,
 just the chain's per-step costs and activation sizes.  Byte peaks are
 re-charged after every action (including the initial state, where the
-cursor holds ``x_0``), matching the original simulator exactly.
+cursor holds ``x_0``) and at every activation an ADVANCE passes through,
+so action-by-action dispatch gives the peaks of the vectorized
+:func:`~repro.engine.program.byte_peaks`, the one byte model.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..checkpointing.chainspec import ChainSpec
 from .backend import BaseBackend
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .program import CompiledProgram
 
 __all__ = ["SimBackend"]
 
@@ -45,15 +52,19 @@ class SimBackend(BaseBackend):
     def peak_bytes(self) -> int:
         return self._peak_bytes
 
-    def _charge(self) -> None:
+    def _charge(self, cursor_bytes: int | None = None) -> None:
+        """Re-peak on the current state; ``cursor_bytes`` overrides the
+        cursor's activation size (an ADVANCE's largest one)."""
         sb = self.slot_bytes
         if sb > self._peak_slot_bytes:
             self._peak_slot_bytes = sb
-        live = sb + self.spec.act_bytes[self._cursor]
+        if cursor_bytes is None:
+            cursor_bytes = self.spec.act_bytes[self._cursor]
+        live = sb + cursor_bytes
         if live > self._peak_bytes:
             self._peak_bytes = live
 
-    def begin(self) -> None:
+    def begin(self, program: "CompiledProgram | None") -> None:
         self._cursor = 0
         self._slots = {}
         self._peak_slot_bytes = 0
@@ -84,7 +95,7 @@ class SimBackend(BaseBackend):
     def advance(self, start: int, stop: int) -> float:
         self._cursor = stop
         cost = self.spec.advance_cost(start, stop)
-        self._charge()
+        self._charge(max(self.spec.act_bytes[start + 1 : stop + 1]))
         return cost
 
     def snapshot(self, slot: int, index: int) -> float:

@@ -1,13 +1,16 @@
 """Real-tensor backend: schedule-driven backprop on a SequentialNet.
 
 Replaces the body of :func:`repro.autodiff.run_schedule`.  Payloads are
-live NumPy activations; the :class:`~repro.autodiff.meter.MemoryMeter`
-tracks the byte high-water mark with exactly the hold/release pattern of
-the original executor, so measured peaks are bit-for-bit unchanged.  The
-adjoint of the head step replays its forward to seed the loss gradient
-("youturn" semantics); every other adjoint replays inside the layer's
-``backward``.  Costs are all zero — wall time is what the tracer spans
-measure.
+live NumPy activations.  The adjoint of the head step replays its
+forward to seed the loss gradient ("youturn" semantics); every other
+adjoint replays inside the layer's ``backward``.  Costs are all zero —
+wall time is what the tracer spans measure.
+
+Bytes come from the one byte model,
+:func:`~repro.engine.program.byte_peaks`: the backend records the
+``nbytes`` of every activation and gradient it produces, and after
+dispatch the peaks are that pass over the program it was given in
+:meth:`TensorBackend.begin`, with the gradient term switched on.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..autodiff.loss import softmax_cross_entropy
-from ..autodiff.meter import MemoryMeter
 from ..errors import ExecutionError
 from .backend import BaseBackend
+from .program import byte_peaks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..autodiff.network import GradMap, SequentialNet
+    from .program import CompiledProgram
 
 __all__ = ["TensorBackend"]
 
@@ -36,19 +40,21 @@ class TensorBackend(BaseBackend):
         x: np.ndarray,
         labels: np.ndarray,
         loss_fn=softmax_cross_entropy,
-        meter: MemoryMeter | None = None,
     ) -> None:
         self.net = net
         self.x = x
         self.labels = labels
         self.loss_fn = loss_fn
-        self.meter = meter if meter is not None else MemoryMeter()
         self.loss_value: float | None = None
         self.grads: "GradMap" = {}
+        self._program: "CompiledProgram | None" = None
         self._cursor: np.ndarray = x
         self._slots: dict[int, np.ndarray] = {}
         self._dy: np.ndarray | None = None
-        self._peak_slot_bytes = 0
+        #: ``nbytes`` of ``x_k`` and of ``dL/dx_k`` as produced, k = 0..l
+        self._act_bytes = np.zeros(0, np.int64)
+        self._grad_bytes = np.zeros(0, np.int64)
+        self._peaks: tuple[int, int] | None = None
 
     @property
     def chain_length(self) -> int:
@@ -60,49 +66,61 @@ class TensorBackend(BaseBackend):
 
     @property
     def live_bytes(self) -> int:
-        return self.meter.current_bytes
+        dy = self._dy
+        flow = 0 if dy is None else int(dy.nbytes)
+        return self.slot_bytes + int(self._cursor.nbytes) + flow
+
+    def _byte_peaks(self) -> tuple[int, int]:
+        """The byte model's peaks over the whole program.
+
+        Exact once dispatch has finished; activations and gradients not
+        yet produced count as 0 bytes.  Cached until a size is recorded.
+        """
+        if self._peaks is None:
+            self._peaks = byte_peaks(self._program, self._act_bytes, self._grad_bytes)
+        return self._peaks
 
     @property
     def peak_slot_bytes(self) -> int:
-        return self._peak_slot_bytes
+        return self._byte_peaks()[0]
 
     @property
     def peak_bytes(self) -> int:
-        return self.meter.peak_bytes
+        return self._byte_peaks()[1]
 
-    def begin(self) -> None:
+    def begin(self, program: "CompiledProgram | None") -> None:
+        self._program = program
         self._cursor = self.x
         self._slots = {}
         self._dy = None
         self.loss_value = None
         self.grads = {}
-        self._peak_slot_bytes = 0
-        self.meter.hold("cursor", self._cursor)
+        self._act_bytes = np.zeros(len(self.net) + 1, np.int64)
+        self._act_bytes[0] = self.x.nbytes
+        self._grad_bytes = np.zeros(len(self.net) + 1, np.int64)
+        self._peaks = None
 
     def advance(self, start: int, stop: int) -> float:
         cursor = self._cursor
+        layers = self.net.layers
+        act_bytes = self._act_bytes
         for i in range(start, stop):
-            cursor = self.net.layers[i].forward(cursor)
-            self.meter.hold("cursor", cursor)
+            cursor = layers[i].forward(cursor)
+            act_bytes[i + 1] = cursor.nbytes
         self._cursor = cursor
+        self._peaks = None
         return 0.0
 
     def snapshot(self, slot: int, index: int) -> float:
         self._slots[slot] = self._cursor
-        self.meter.hold(f"slot{slot}", self._cursor)
-        sb = self.slot_bytes
-        if sb > self._peak_slot_bytes:
-            self._peak_slot_bytes = sb
         return 0.0
 
     def restore(self, slot: int, index: int) -> float:
         self._cursor = self._slots[slot]
-        self.meter.hold("cursor", self._cursor)
         return 0.0
 
     def free(self, slot: int, index: int) -> float:
         del self._slots[slot]
-        self.meter.release(f"slot{slot}")
         return 0.0
 
     def adjoint(self, step: int) -> tuple[float, float]:
@@ -110,15 +128,16 @@ class TensorBackend(BaseBackend):
         if step == self.chain_length:
             # Head step: replay forward to get predictions, seed dy.
             y = layer.forward(self._cursor)
-            self.meter.hold("head", y)
+            self._act_bytes[step] = y.nbytes
             self.loss_value, self._dy = self.loss_fn(y, self.labels)
-            self.meter.release("head")
-            self.meter.hold("grad", self._dy)
+            self._grad_bytes[step] = self._dy.nbytes
         if self._dy is None:  # pragma: no cover - guarded by VM ordering
             raise ExecutionError("gradient flow unseeded")
         dx, layer_grads = layer.backward(self._cursor, self._dy)
         self._dy = dx
-        self.meter.hold("grad", dx)
+        if dx is not None:
+            self._grad_bytes[step - 1] = dx.nbytes
         for pname, g in layer_grads.items():
             self.grads[(layer.name, pname)] = g
+        self._peaks = None
         return 0.0, 0.0

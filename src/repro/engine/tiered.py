@@ -24,6 +24,7 @@ from .stats import TierStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..edge.storage import StorageProfile
+    from .program import CompiledProgram
 
 __all__ = ["TieredBackend"]
 
@@ -83,8 +84,8 @@ class TieredBackend(SimBackend):
         self._mem = _TierLedger("memory", memory)
         self._disk = _TierLedger("disk", disk)
 
-    def begin(self) -> None:
-        super().begin()
+    def begin(self, program: "CompiledProgram | None") -> None:
+        super().begin(program)
         self._mem = _TierLedger("memory", self._memory_profile)
         self._disk = _TierLedger("disk", self._disk_profile)
 

@@ -8,8 +8,8 @@ schedule to a :class:`~repro.engine.program.CompiledProgram`, and that
 is the one place every structural invariant is enforced (cursor moves,
 slot budget and occupancy, backward order, full forward coverage).  A
 violation raises :class:`~repro.errors.ExecutionError` with one
-canonical message per rule, before ``backend.begin()`` — an invalid
-schedule never reaches the backend.
+canonical message per rule, before ``backend.begin(program)`` — an
+invalid schedule never reaches the backend.
 
 Second, one checkless loop dispatches the program's int opcodes to the
 backend, with every operand precomputed at compile time.  On an
@@ -116,7 +116,7 @@ def execute(
     now = Tracer.now
     t0 = 0.0
 
-    backend.begin()
+    backend.begin(program)
     for pos in range(len(ops)):
         op = ops[pos]
         arg = args[pos]

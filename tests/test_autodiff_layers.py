@@ -125,6 +125,37 @@ class TestShapesAndErrors:
         with pytest.raises(ShapeError):
             BatchNormLayer(4).forward(rng.normal(size=(2, 4, 4)))
 
+    @pytest.mark.parametrize(
+        "features, shape",
+        [(4, (2, 16, 3, 3)), (1, (5, 8))],
+        ids=["narrower-than-input", "broadcastable"],
+    )
+    def test_batchnorm_rejects_wrong_feature_count(self, rng, features, shape):
+        x = rng.normal(size=shape)
+        with pytest.raises(ShapeError, match=rf"{features} features.*got {shape[1]}"):
+            BatchNormLayer(features).forward(x)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: MaxPoolLayer(0),
+            lambda rng: MaxPoolLayer(2).forward(rng.normal(size=(2, 8))),
+            lambda rng: ConvLayer(2, 3, 0, rng),
+            lambda rng: ConvLayer(2, 3, 3, rng, stride=0),
+            lambda rng: ConvLayer(2, 3, 3, rng, padding=-1),
+            lambda rng: DenseLayer(0, 4, rng),
+            lambda rng: DenseLayer(4, 0, rng),
+            lambda rng: DenseLayer(4, -2, rng),
+        ],
+        ids=[
+            "pool-k0", "pool-2d-input", "conv-k0", "conv-stride0", "conv-pad-neg",
+            "dense-in0", "dense-out0", "dense-out-neg",
+        ],
+    )
+    def test_bad_geometry_raises_shape_error(self, rng, make):
+        with pytest.raises(ShapeError):
+            make(rng)
+
     def test_param_bytes(self, rng):
         layer = DenseLayer(6, 4, rng)
         assert param_bytes(layer) == (6 * 4 + 4) * 8  # float64

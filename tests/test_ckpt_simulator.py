@@ -83,6 +83,36 @@ class TestHappyPath:
         assert simulate(s, spec).recompute_factor(spec) == pytest.approx(1.0)
 
 
+class TestAdvanceInteriors:
+    """An ADVANCE charges every activation it passes through, not only
+    the one it stops at: here ``A3`` passes the 100-byte ``x_2`` while
+    slots hold ``x_0`` and ``x_1`` (1 + 50 + 100 = 151)."""
+
+    SPEC = ChainSpec(
+        name="bulge", act_bytes=(1, 50, 100, 1), fwd_cost=(1, 1, 1), bwd_cost=(1, 1, 1)
+    )
+    SCHEDULE = sched(
+        3, 2,
+        snapshot(0), advance(1), snapshot(1), advance(3), restore(1), free(1),
+        advance(2), adjoint(3), restore(0), advance(1), adjoint(2),
+        restore(0), free(0), adjoint(1),
+    )
+
+    def test_vectorized_path(self):
+        assert simulate(self.SCHEDULE, self.SPEC).peak_bytes == 151
+
+    def test_per_action_path(self):
+        from repro.engine import SimBackend, execute
+
+        run = execute(self.SCHEDULE, SimBackend(self.SPEC), on_step=lambda step: None)
+        assert run.peak_bytes == 151
+
+    def test_tiered_backend(self):
+        from repro.engine import TieredBackend, execute
+
+        assert execute(self.SCHEDULE, TieredBackend(self.SPEC)).peak_bytes == 151
+
+
 class TestRejections:
     def test_advance_backwards(self):
         s = sched(2, 1, snapshot(0), advance(2), advance(1), adjoint(2))

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.autodiff import DenseLayer, SequentialNet
-from repro.autodiff.meter import MemoryMeter
 from repro.checkpointing import (
     ChainSpec,
     Schedule,
@@ -192,6 +191,22 @@ _F = ActionKind.FREE
 _J = ActionKind.ADJOINT
 
 
+class _CountingDense(DenseLayer):
+    forwards = 0
+
+    def forward(self, x):
+        self.forwards += 1
+        return super().forward(x)
+
+
+class _CountingTensorBackend(TensorBackend):
+    begins = 0
+
+    def begin(self, program):
+        self.begins += 1
+        super().begin(program)
+
+
 class TestErrorParity:
     """compile_schedule must fail exactly like the reference interpreter,
     and execute must fail that way before the backend runs anything."""
@@ -215,14 +230,15 @@ class TestErrorParity:
         with pytest.raises(ExecutionError) as compiled:
             compile_schedule(bad)
         assert str(compiled.value) == str(interpreted.value)
-        meter = MemoryMeter()
-        net = SequentialNet([DenseLayer(4, 4, rng, name=f"d{i}") for i in range(bad.length)])
-        backend = TensorBackend(net, rng.normal(size=(2, 4)), np.array([0, 1]), meter=meter)
+        net = SequentialNet(
+            [_CountingDense(4, 4, rng, name=f"d{i}") for i in range(bad.length)]
+        )
+        backend = _CountingTensorBackend(net, rng.normal(size=(2, 4)), np.array([0, 1]))
         with pytest.raises(ExecutionError) as executed:
             execute(bad, backend)
         assert str(executed.value) == str(interpreted.value)
-        # begin() would hold x_0 and every forward holds its output.
-        assert meter.peak_bytes == 0
+        assert backend.begins == 0
+        assert [layer.forwards for layer in net.layers] == [0] * bad.length
 
 
 @pytest.mark.usefixtures("fresh_schedule_cache")

@@ -53,7 +53,7 @@ def reference_execute(
     now = Tracer.now
     t0 = 0.0
 
-    backend.begin()
+    backend.begin(None)
     for pos, act in enumerate(schedule.actions):
         kind = act.kind
         arg = act.arg
