@@ -10,7 +10,9 @@ reference, both run the frozen seed workload (16-layer dense/ReLU net,
 Revolve c=3), and the paired per-round ratio must stay under 1.05x.
 
 The compiled sim path is timed against the checked interpreter loop the
-VM ran before it always compiled, frozen in ``tests/vm_reference.py``.
+VM ran before it always compiled, frozen in ``tests/vm_reference.py``,
+driving the per-action ``SimBackend`` the analytic pass replaced, frozen
+in ``tests/analytic_backend_reference.py``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.checkpointing.actions import ActionKind
 from repro.engine import SimBackend, compile_schedule, execute
 from repro.errors import ExecutionError
 from repro.obs import get_tracer
+from tests import analytic_backend_reference as frozen
 from tests.vm_reference import reference_execute
 
 DEPTH = 16
@@ -242,15 +245,15 @@ def test_compiled_sim_speedup(outdir, bench_json):
     # Identical stats first — the vectorized path is only a speedup if it
     # is also bit-identical to the interpreted loop.
     assert execute(sch, SimBackend(spec), compiled=program) == reference_execute(
-        sch, SimBackend(spec)
+        sch, frozen.SimBackend(spec)
     )
 
     ratio_warm, t_interp, t_warm = paired_ratio(
-        lambda: reference_execute(sch, SimBackend(spec)),
+        lambda: reference_execute(sch, frozen.SimBackend(spec)),
         lambda: execute(sch, SimBackend(spec), compiled=program),
     )
     ratio_cold, _, t_cold = paired_ratio(
-        lambda: reference_execute(sch, SimBackend(spec)),
+        lambda: reference_execute(sch, frozen.SimBackend(spec)),
         lambda: execute(sch, SimBackend(spec), compiled=compile_schedule(sch)),
     )
     speedup_warm = 1.0 / ratio_warm

@@ -530,10 +530,13 @@ def _disk_revolve(args: argparse.Namespace) -> str:
 def _exec(args: argparse.Namespace) -> str:
     """Run one strategy's schedule through a chosen engine backend."""
     from .checkpointing import ChainSpec
+    from .edge.storage import EMMC, SD_CARD
     from .engine import (
+        CompressedBackend,
         SimBackend,
         TieredBackend,
         action_span_hook,
+        compile_schedule,
         execute,
         sim_event_hook,
     )
@@ -562,15 +565,21 @@ def _exec(args: argparse.Namespace) -> str:
         f"backend={backend_name}"
     )
 
+    spec = ChainSpec.homogeneous(l, act_bytes=int(args.act_kb * KB))
+    storage = {"sd-card": SD_CARD, "emmc": EMMC}[args.storage]
     if getattr(args, "compile", False):
         import numpy as np
 
         from .engine import OPCODE_NAMES
-        from .units import KB
 
-        program = strat.compiled(l, c)
-        spec = ChainSpec.homogeneous(l, act_bytes=int(args.act_kb * KB))
-        run = execute(sch, SimBackend(spec), compiled=program)
+        if codec is None:
+            program = strat.compiled(l, c)
+            backend = SimBackend(spec)
+        else:
+            # The compressed-band schedule is the one that runs.
+            program = compile_schedule(sch)
+            backend = CompressedBackend(spec, codec, disk=storage)
+        run = execute(sch, backend, compiled=program)
         counts = ", ".join(
             f"{name} {n}"
             for name, n in zip(OPCODE_NAMES, np.bincount(program.opcodes, minlength=5))
@@ -625,22 +634,14 @@ def _exec(args: argparse.Namespace) -> str:
             ]
         )
 
-    spec = ChainSpec.homogeneous(l, act_bytes=int(args.act_kb * KB))
     tracer = obs.get_tracer()
     if codec is not None:
-        from .edge.storage import EMMC, SD_CARD
-        from .engine import CompressedBackend
-
-        storage = {"sd-card": SD_CARD, "emmc": EMMC}[args.storage]
         backend = CompressedBackend(spec, codec, disk=storage)
         hook = action_span_hook(tracer) if tracer.enabled else None
     elif args.backend == "sim":
         backend = SimBackend(spec)
         hook = sim_event_hook(tracer) if tracer.enabled else None
     else:
-        from .edge.storage import EMMC, SD_CARD
-
-        storage = {"sd-card": SD_CARD, "emmc": EMMC}[args.storage]
         backend = TieredBackend(spec, disk=storage)
         hook = action_span_hook(tracer) if tracer.enabled else None
     run = execute(sch, backend, on_step=hook)

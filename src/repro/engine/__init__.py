@@ -2,25 +2,28 @@
 
 One virtual machine (:func:`execute`) runs checkpoint schedules for
 *every* consumer — the analytic simulator, the real-tensor executor
-and the tiered-storage model — through a pluggable
-:class:`~repro.engine.backend.Backend`:
+and the tiered-storage model:
 
-* :class:`SimBackend` — ChainSpec cost accounting (no tensors);
-* :class:`TensorBackend` — real ``SequentialNet`` forwards/adjoints,
-  with peaks from the byte model the analytic path uses
-  (:func:`~repro.engine.program.byte_peaks`);
-* :class:`TieredBackend` — RAM + disk slot tiers priced by
-  :class:`~repro.edge.storage.StorageProfile` read/write paths;
+* :class:`SimBackend` — ChainSpec cost accounting (no tensors), priced
+  in one whole-program pass over the compiled program;
+* :class:`TieredBackend` — the same pass with RAM + disk slot tiers
+  priced by :class:`~repro.edge.storage.StorageProfile` read/write paths;
 * :class:`CompressedBackend` — TieredBackend plus a
   :class:`~repro.edge.storage.CompressionModel` pricing compressed-band
-  slots (smaller stored bytes, codec seconds per transfer).
+  slots (smaller stored bytes, codec seconds per transfer);
+* :class:`TensorBackend` — real ``SequentialNet`` forwards/adjoints,
+  dispatched action by action through the
+  :class:`~repro.engine.backend.Backend` protocol, with peaks from the
+  byte model the analytic pass uses
+  (:func:`~repro.engine.program.byte_peaks`).
 
 :func:`execute` compiles a schedule (:func:`compile_schedule`, the one
-place its invariants are checked) and then dispatches the compiled
-program to the backend, emitting unified
-:class:`~repro.engine.stats.StepStats` / :class:`~repro.engine.stats.RunStats`;
-:mod:`repro.engine.hooks` builds the standard trace observers.  The
-historical entry points :func:`repro.checkpointing.simulate` and
+place its invariants are checked), then hands the compiled program to
+the analytic pass or dispatches it to a per-action backend, emitting
+unified :class:`~repro.engine.stats.StepStats` /
+:class:`~repro.engine.stats.RunStats`; :mod:`repro.engine.hooks` builds
+the standard trace observers.  The historical entry points
+:func:`repro.checkpointing.simulate` and
 :func:`repro.autodiff.run_schedule` remain as thin compatibility
 wrappers over this engine.
 """

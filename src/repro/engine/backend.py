@@ -1,13 +1,19 @@
-"""The pluggable backend surface of the schedule virtual machine.
+"""The per-action backend surface of the schedule virtual machine.
 
 The VM (:func:`~repro.engine.vm.execute`) owns every structural
 invariant — cursor preconditions, slot budget and occupancy, backward
 order, completeness — and the authoritative ``slot -> activation index``
-map.  A backend owns only the *payloads* (abstract cost entries, real
-tensors, tier ledgers) and answers with the cost of each action.  The VM
-calls exactly one backend method per schedule action, always after its
-own precondition checks have passed, so backends may assume arguments
-are valid and need no defensive checks of their own.
+map.  A per-action backend owns only the *payloads* (real tensors) and
+answers with the cost of each action.  The VM's dispatch loop calls
+exactly one backend method per schedule action, always after its own
+precondition checks have passed, so backends may assume arguments are
+valid and need no defensive checks of their own.
+
+The analytic backends (:class:`~repro.engine.sim.SimBackend` and its
+tiered and compressed configurations) do not implement this protocol:
+they price the whole compiled program in one pass
+(:meth:`~repro.engine.sim.SimBackend.run`), which
+:func:`~repro.engine.vm.execute` calls instead of the loop.
 """
 
 from __future__ import annotations
@@ -26,9 +32,8 @@ __all__ = ["Backend", "BaseBackend"]
 class Backend(Protocol):
     """What the VM needs from an execution backend.
 
-    Cost returns are in the backend's own unit (forward-step units for
-    the analytic backends, zero for the tensor backend whose cost is
-    wall time measured by the tracer).  ``snapshot``/``restore`` return
+    Cost returns are in the backend's own unit (zero for the tensor
+    backend, whose cost is wall time measured by the tracer).  ``snapshot``/``restore`` return
     *transfer* cost; ``adjoint`` returns ``(replay_cost, backward_cost)``.
     """
 
@@ -54,8 +59,7 @@ class Backend(Protocol):
 
         ``program`` is the compiled program about to be dispatched; a
         backend that derives its byte peaks from it after dispatch
-        (:class:`~repro.engine.tensor.TensorBackend`) keeps it, the
-        analytic backends ignore it.
+        (:class:`~repro.engine.tensor.TensorBackend`) keeps it.
         """
         ...
 

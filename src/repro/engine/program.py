@@ -28,15 +28,14 @@ can never smuggle an invalid action sequence past the VM.
 
 :func:`byte_peaks` is the one byte model: a few array passes over a
 program and its activation (and, for real tensors, gradient) sizes give
-the run's slot and live-byte peaks.  The analytic and the tensor
-backend both take their peaks from it.
-
-:func:`run_compiled_sim` is the whole-program fast path for the
-analytic :class:`~repro.engine.sim.SimBackend`: byte peaks from
-:func:`byte_peaks`, costs from prefix-sum differences accumulated with
-``np.add.accumulate`` — the same left-to-right float additions the
-per-action dispatch loop performs, so the resulting
-:class:`~repro.engine.stats.RunStats` is bit-identical.
+the run's slot and live-byte peaks.  The analytic pass
+(:meth:`~repro.engine.sim.SimBackend.run`) and the tensor backend both
+take their peaks from it.  The analytic pass also reduces over the
+program's per-row slot tiers and compressed flags
+(:attr:`CompiledProgram.slot_tier`,
+:attr:`CompiledProgram.slot_compressed`), the arrays
+:attr:`CompiledProgram.tier_usage` and
+:attr:`CompiledProgram.compression_usage` summarise.
 """
 
 from __future__ import annotations
@@ -48,14 +47,13 @@ from functools import cached_property
 import numpy as np
 
 from ..checkpointing.actions import (
-    COMPRESS_SLOT_BASE,
     Action,
     ActionKind,
+    is_compressed_slot,
     tier_of_slot,
 )
 from ..checkpointing.schedule import Schedule
 from ..errors import ExecutionError, ScheduleError
-from .stats import RunStats
 
 __all__ = [
     "PROGRAM_VERSION",
@@ -71,7 +69,6 @@ __all__ = [
     "decompile",
     "program_from_payload",
     "byte_peaks",
-    "run_compiled_sim",
 ]
 
 #: Payload format version for persisted programs.
@@ -185,37 +182,50 @@ class CompiledProgram:
         bounds[1::2] = self.adv_stop + 1
         return _frozen(bounds)
 
-    # -- tier-aware aggregates (derived from the shared slot alphabet) ---
+    # -- per-row slot routing (derived from the shared slot alphabet) ----
+    def _per_slot_row(self, of_slot, blank, dtype) -> np.ndarray:
+        """``of_slot(arg)`` on every SNAPSHOT/RESTORE/FREE row, ``blank``
+        elsewhere; ``of_slot`` is called once per distinct slot id."""
+        out = np.full(len(self), blank, dtype)
+        rows = (self.opcodes != OP_ADVANCE) & (self.opcodes != OP_ADJOINT)
+        ids, where = np.unique(self.args[rows], return_inverse=True)
+        out[rows] = np.array([of_slot(int(s)) for s in ids], dtype)[where]
+        return _frozen(out)
+
+    @cached_property
+    def slot_tier(self) -> np.ndarray:
+        """Storage tier of each row's slot
+        (:func:`~repro.checkpointing.actions.tier_of_slot`); -1 on
+        ADVANCE and ADJOINT rows."""
+        return self._per_slot_row(tier_of_slot, -1, np.int32)
+
+    @cached_property
+    def slot_compressed(self) -> np.ndarray:
+        """Whether each row's slot is in the compressed band
+        (:func:`~repro.checkpointing.actions.is_compressed_slot`);
+        False on ADVANCE and ADJOINT rows."""
+        return self._per_slot_row(is_compressed_slot, False, bool)
+
     @cached_property
     def tier_usage(self) -> tuple[tuple[int, int, int, int], ...]:
         """Per-tier ``(tier, snapshots, restores, peak_slots)`` rows.
 
-        Derived from the opcode/arg arrays alone via
-        :func:`~repro.checkpointing.actions.tier_of_slot`, so the rows
-        survive payload round-trips by construction.  Tiers appear in
-        ascending order; a program that never touches a slot has no rows.
+        Reduced from :attr:`slot_tier`, itself derived from the
+        opcode/arg arrays alone, so the rows survive payload round-trips
+        by construction.  Tiers appear in ascending order; a program that
+        never touches a slot has no rows.
         """
-        snaps: dict[int, int] = {}
-        reads: dict[int, int] = {}
-        held: dict[int, int] = {}
-        peaks: dict[int, int] = {}
-        for op, arg in zip(self.ops_list, self.args_list):
-            if op == OP_ADVANCE or op == OP_ADJOINT:
-                continue
-            t = tier_of_slot(arg)
-            if op == OP_SNAPSHOT:
-                snaps[t] = snaps.get(t, 0) + 1
-                held[t] = held.get(t, 0) + 1
-                if held[t] > peaks.get(t, 0):
-                    peaks[t] = held[t]
-            elif op == OP_RESTORE:
-                reads[t] = reads.get(t, 0) + 1
-            else:  # OP_FREE
-                held[t] = held.get(t, 0) - 1
-        tiers = sorted(set(snaps) | set(reads))
-        return tuple(
-            (t, snaps.get(t, 0), reads.get(t, 0), peaks.get(t, 0)) for t in tiers
-        )
+        tier = self.slot_tier
+        writes = self.opcodes == OP_SNAPSHOT
+        reads = self.opcodes == OP_RESTORE
+        usage = []
+        for t in np.unique(tier[writes | reads]).tolist():
+            rows = tier == t
+            snapshots = int(np.count_nonzero(rows & writes))
+            restores = int(np.count_nonzero(rows & reads))
+            peak = int(np.cumsum(self.slot_sign * rows).max())
+            usage.append((t, snapshots, restores, peak))
+        return tuple(usage)
 
     @property
     def paged(self) -> bool:
@@ -226,21 +236,15 @@ class CompiledProgram:
     def compression_usage(self) -> tuple[int, int]:
         """``(compressed snapshots, compressed restores)`` counts.
 
-        Derived from the arg array's compressed band
-        (:func:`~repro.checkpointing.actions.is_compressed_slot`);
-        :attr:`tier_usage` already folds compressed slots into their
-        storage tier, so this is the orthogonal how-stored summary.
+        Reduced from :attr:`slot_compressed`; :attr:`tier_usage` already
+        folds compressed slots into their storage tier, so this is the
+        orthogonal how-stored summary.
         """
-        snaps = 0
-        reads = 0
-        for op, arg in zip(self.ops_list, self.args_list):
-            if arg < COMPRESS_SLOT_BASE:
-                continue
-            if op == OP_SNAPSHOT:
-                snaps += 1
-            elif op == OP_RESTORE:
-                reads += 1
-        return (snaps, reads)
+        zipped = self.slot_compressed
+        return (
+            int(np.count_nonzero(zipped & (self.opcodes == OP_SNAPSHOT))),
+            int(np.count_nonzero(zipped & (self.opcodes == OP_RESTORE))),
+        )
 
     @property
     def compressed(self) -> bool:
@@ -471,6 +475,7 @@ def byte_peaks(
     program: CompiledProgram,
     act_bytes,
     grad_bytes=None,
+    stored_bytes=None,
 ) -> tuple[int, int]:
     """``(peak_slot_bytes, peak_bytes)`` of running ``program``.
 
@@ -487,6 +492,11 @@ def byte_peaks(
     the loss gradient.  Without it this is the paper's slots-plus-cursor
     count.
 
+    ``stored_bytes[row]``, when given, is what the slot of a SNAPSHOT
+    or FREE row holds (a compressed-band slot stores the codec's output,
+    not the activation); by default a slot holds its activation's size.
+    Every slot counts as live, whatever its storage tier.
+
     A slot and the cursor holding the same array (right after a
     SNAPSHOT or RESTORE) are both charged, in both counts.
 
@@ -494,8 +504,9 @@ def byte_peaks(
     program-only index arrays are cached on ``program``.
     """
     act = np.asarray(act_bytes, dtype=np.int64)
-    slot_t = act[program.aux]
-    slot_t *= program.slot_sign
+    if stored_bytes is None:
+        stored_bytes = act[program.aux]
+    slot_t = stored_bytes * program.slot_sign
     np.cumsum(slot_t, out=slot_t)
     live = act[program.cursor_after]
     interior = np.maximum.reduceat(np.append(act, 0), program.adv_bounds)
@@ -512,64 +523,3 @@ def byte_peaks(
         peak = max(peak, int(slot_t[head] + act[l - 1] + max(act[l], grad[l])))
     return max(0, int(slot_t.max())), max(peak, int(live.max()))
 
-
-def run_compiled_sim(program: CompiledProgram, backend) -> RunStats:
-    """Whole-program vectorized execution on a :class:`SimBackend`.
-
-    Bit-identical to dispatching the program action by action:
-
-    * byte peaks come from :func:`byte_peaks` on the chain's activation
-      sizes;
-    * per-advance costs are the same prefix-sum differences
-      :meth:`ChainSpec.advance_cost <repro.checkpointing.chainspec.ChainSpec.advance_cost>`
-      computes, and every cost accumulator uses ``np.add.accumulate`` —
-      a strictly left-to-right reduction, the same float additions in
-      the same order as the dispatch loop's ``+=``.
-
-    The backend is left in exactly the state per-action dispatch would
-    have produced (cursor, slot table, peaks), via
-    :meth:`~repro.engine.sim.SimBackend.adopt`.
-    """
-    spec = backend.spec
-    backend.begin(program)
-    peak_slot_bytes, peak_bytes = byte_peaks(program, spec.act_bytes)
-
-    prefix = np.asarray(spec.fwd_prefix, dtype=np.float64)
-    adv_costs = prefix[program.adv_stop] - prefix[program.adv_start]
-    forward_cost = (
-        float(np.add.accumulate(adv_costs)[-1]) if adv_costs.size else 0.0
-    )
-    steps = program.adjoint_steps
-    if steps.size:
-        fwd = np.asarray(spec.fwd_cost, dtype=np.float64)
-        bwd = np.asarray(spec.bwd_cost, dtype=np.float64)
-        replay_cost = float(np.add.accumulate(fwd[steps - 1])[-1])
-        backward_cost = float(np.add.accumulate(bwd[steps - 1])[-1])
-    else:
-        replay_cost = 0.0
-        backward_cost = 0.0
-
-    backend.adopt(
-        cursor=program.final_cursor,
-        slots=dict(program.final_slots),
-        peak_slot_bytes=peak_slot_bytes,
-        peak_bytes=peak_bytes,
-    )
-    return RunStats(
-        strategy=program.strategy,
-        length=program.length,
-        forward_steps=program.forward_steps,
-        forward_cost=forward_cost,
-        replay_steps=int(steps.size),
-        replay_cost=replay_cost,
-        backward_cost=backward_cost,
-        executions=program.executions,
-        peak_slot_bytes=peak_slot_bytes,
-        peak_bytes=peak_bytes,
-        peak_slots=program.peak_slots,
-        snapshots_taken=program.snapshots_taken,
-        restores=program.restores,
-        transfer_seconds=0.0,
-        tiers=backend.tier_stats(),
-        compression=backend.compression_stats(),
-    )

@@ -1,119 +1,223 @@
-"""Analytic cost-accounting backend over a :class:`ChainSpec`.
+"""The analytic backend: one whole-program pass over a compiled schedule.
 
-Replaces the body of :func:`repro.checkpointing.simulate`: no tensors,
-just the chain's per-step costs and activation sizes.  Byte peaks are
-re-charged after every action (including the initial state, where the
-cursor holds ``x_0``) and at every activation an ADVANCE passes through,
-so action-by-action dispatch gives the peaks of the vectorized
-:func:`~repro.engine.program.byte_peaks`, the one byte model.
+:class:`SimBackend` prices a :class:`~repro.engine.program.CompiledProgram`
+on a :class:`~repro.checkpointing.chainspec.ChainSpec` in a few NumPy
+array passes, with no tensors and no per-action calls
+(:meth:`SimBackend.run`; :func:`~repro.engine.vm.execute` hands every
+analytic run to it, traced or not):
+
+* costs are the chain's forward-cost prefix differences and per-step
+  costs gathered over the program, each summed with
+  ``np.add.accumulate`` — the strictly left-to-right float additions of
+  a ``+=`` loop over the actions;
+* byte peaks come from :func:`~repro.engine.program.byte_peaks`, the
+  one byte model, with every slot charged at the bytes it stores;
+* tier and codec ledgers are reductions over the program's per-row
+  slot tiers and compressed flags, priced by the storage profiles' and
+  the codec's own scalar methods, called once per distinct byte size.
+
+:class:`~repro.engine.tiered.TieredBackend` and
+:class:`~repro.engine.compressed.CompressedBackend` are configurations of
+this same pass: a RAM and a disk ledger with optional
+:class:`~repro.edge.storage.StorageProfile` prices, and a
+:class:`~repro.edge.storage.CompressionModel` for compressed-band slots.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
+from ..checkpointing.actions import TIER_RAM
 from ..checkpointing.chainspec import ChainSpec
-from .backend import BaseBackend
+from ..obs.tracer import Tracer
+from .program import KIND_BY_OP, OP_RESTORE, OP_SNAPSHOT, byte_peaks
+from .stats import CompressionStats, RunStats, StepStats, TierStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..edge.storage import CompressionModel, StorageProfile
     from .program import CompiledProgram
 
 __all__ = ["SimBackend"]
 
 
-class SimBackend(BaseBackend):
-    """Costs from a :class:`~repro.checkpointing.chainspec.ChainSpec`."""
+def _total(values: np.ndarray) -> float:
+    """Left-to-right sum: the float additions of a ``+=`` loop from 0.0."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
+
+
+def _each(price: Callable[[int], float], n_bytes: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """``price`` of every entry of ``n_bytes``, called once per distinct size."""
+    sizes, where = np.unique(n_bytes, return_inverse=True)
+    return np.array([price(int(b)) for b in sizes], dtype)[where]
+
+
+def _tier_stats(
+    name: str,
+    profile: "StorageProfile | None",
+    w: np.ndarray,
+    r: np.ndarray,
+    sign: np.ndarray,
+    stored: np.ndarray,
+    transfer: np.ndarray,
+) -> TierStats:
+    """One tier's ledger from its SNAPSHOT rows ``w``, its RESTORE rows
+    ``r`` and ``sign`` (+1 on its SNAPSHOTs, -1 on its FREEs, else 0).
+    Writes the tier's storage seconds into ``transfer``."""
+    if profile is not None:
+        transfer[w] = _each(profile.write_seconds, stored[w])
+        transfer[r] = _each(profile.read_seconds, stored[r])
+    return TierStats(
+        name=name,
+        writes=int(np.count_nonzero(w)),
+        reads=int(np.count_nonzero(r)),
+        write_seconds=_total(transfer[w]),
+        read_seconds=_total(transfer[r]),
+        peak_slots=max(0, int(np.cumsum(sign).max())),
+        peak_bytes=max(0, int(np.cumsum(stored * sign).max())),
+        bytes_written=int(stored[w].sum()),
+        bytes_read=int(stored[r].sum()),
+    )
+
+
+class SimBackend:
+    """Costs and byte peaks from a :class:`ChainSpec`; no tiers, no codec."""
+
+    #: whether runs report the RAM/disk :class:`TierStats` ledgers
+    tiered = False
 
     def __init__(self, spec: ChainSpec) -> None:
         self.spec = spec
-        self._cursor = 0
-        self._slots: dict[int, int] = {}  # slot -> activation index payload
-        self._peak_slot_bytes = 0
-        self._peak_bytes = 0
+        #: storage profiles pricing the RAM and the disk tier (tiered only)
+        self.memory: "StorageProfile | None" = None
+        self.disk: "StorageProfile | None" = None
+        #: codec of the compressed-band slots (compressed only)
+        self.codec: "CompressionModel | None" = None
 
     @property
     def chain_length(self) -> int:
         return self.spec.length
 
-    @property
-    def slot_bytes(self) -> int:
-        act = self.spec.act_bytes
-        return sum(act[idx] for idx in self._slots.values())
-
-    @property
-    def live_bytes(self) -> int:
-        return self.slot_bytes + self.spec.act_bytes[self._cursor]
-
-    @property
-    def peak_slot_bytes(self) -> int:
-        return self._peak_slot_bytes
-
-    @property
-    def peak_bytes(self) -> int:
-        return self._peak_bytes
-
-    def _charge(self, cursor_bytes: int | None = None) -> None:
-        """Re-peak on the current state; ``cursor_bytes`` overrides the
-        cursor's activation size (an ADVANCE's largest one)."""
-        sb = self.slot_bytes
-        if sb > self._peak_slot_bytes:
-            self._peak_slot_bytes = sb
-        if cursor_bytes is None:
-            cursor_bytes = self.spec.act_bytes[self._cursor]
-        live = sb + cursor_bytes
-        if live > self._peak_bytes:
-            self._peak_bytes = live
-
-    def begin(self, program: "CompiledProgram | None") -> None:
-        self._cursor = 0
-        self._slots = {}
-        self._peak_slot_bytes = 0
-        self._peak_bytes = 0
-        self._charge()
-
-    def adopt(
+    def run(
         self,
-        cursor: int,
-        slots: dict[int, int],
-        peak_slot_bytes: int,
-        peak_bytes: int,
-    ) -> None:
-        """Jump to a final machine state computed by a whole-program pass.
+        program: "CompiledProgram",
+        on_step: Callable[[StepStats], None] | None = None,
+    ) -> RunStats:
+        """Measure ``program`` on this chain; ``on_step`` gets every action's
+        :class:`StepStats`, its ``started`` read as it is emitted."""
+        spec = self.spec
+        codec = self.codec
+        ops = program.opcodes
+        act = np.asarray(spec.act_bytes, dtype=np.int64)
+        # On SNAPSHOT/RESTORE/FREE rows: the activation the slot holds,
+        # and the bytes the slot stores for it.
+        raw = act[program.aux]
+        stored = raw
+        if codec is not None:
+            zipped = program.slot_compressed
+            stored = raw.copy()
+            stored[zipped] = _each(codec.compressed_bytes, raw[zipped], np.int64)
+        peak_slot_bytes, peak_bytes = byte_peaks(program, act, stored_bytes=stored)
 
-        The vectorized compiled-program executor derives the byte
-        timeline without calling the per-action methods; this installs
-        its end state so the backend is indistinguishable from one that
-        was driven action by action.
-        """
-        self._cursor = cursor
-        self._slots = dict(slots)
-        if peak_slot_bytes > self._peak_slot_bytes:
-            self._peak_slot_bytes = peak_slot_bytes
-        if peak_bytes > self._peak_bytes:
-            self._peak_bytes = peak_bytes
+        prefix = np.asarray(spec.fwd_prefix, dtype=np.float64)
+        steps = program.adjoint_steps - 1
+        forward_cost = _total(prefix[program.adv_stop] - prefix[program.adv_start])
+        replay_cost = _total(np.asarray(spec.fwd_cost, dtype=np.float64)[steps])
+        backward_cost = _total(np.asarray(spec.bwd_cost, dtype=np.float64)[steps])
 
-    def advance(self, start: int, stop: int) -> float:
-        self._cursor = stop
-        cost = self.spec.advance_cost(start, stop)
-        self._charge(max(self.spec.act_bytes[start + 1 : stop + 1]))
-        return cost
+        # transfer[row]: storage seconds, then codec seconds, of each action
+        transfer = np.zeros(len(program))
+        writes = ops == OP_SNAPSHOT
+        reads = ops == OP_RESTORE
+        tiers: tuple[TierStats, ...] = ()
+        if self.tiered:
+            tier = program.slot_tier  # -1 on ADVANCE/ADJOINT rows
+            ledgers = (
+                ("memory", self.memory, tier == TIER_RAM),
+                ("disk", self.disk, tier > TIER_RAM),
+            )
+            tiers = tuple(
+                _tier_stats(
+                    name,
+                    profile,
+                    rows & writes,
+                    rows & reads,
+                    program.slot_sign * rows,
+                    stored,
+                    transfer,
+                )
+                for name, profile, rows in ledgers
+            )
+        compression = None
+        if codec is not None:
+            w = zipped & writes
+            r = zipped & reads
+            encode = _each(codec.compress_seconds, raw[w])
+            decode = _each(codec.decompress_seconds, raw[r])
+            transfer[w] += encode
+            transfer[r] += decode
+            compress_calls = int(np.count_nonzero(w))
+            compression = CompressionStats(
+                codec=codec.name,
+                ratio=codec.ratio,
+                compress_calls=compress_calls,
+                decompress_calls=int(np.count_nonzero(r)),
+                compress_seconds=_total(encode),
+                decompress_seconds=_total(decode),
+                bytes_saved=int((raw[w] - stored[w]).sum()),
+                fidelity_loss=codec.fidelity_loss if compress_calls else 0.0,
+            )
 
-    def snapshot(self, slot: int, index: int) -> float:
-        self._slots[slot] = index
-        self._charge()
-        return 0.0
+        if on_step is not None:
+            slot_now = np.cumsum(stored * program.slot_sign)
+            live_now = slot_now + act[program.cursor_after]
+            now = Tracer.now
+            rows = zip(
+                program.ops_list,
+                program.args_list,
+                program.cursor_after.tolist(),
+                program.occupied_after.tolist(),
+                program.forward_cum.tolist(),
+                program.replay_cum.tolist(),
+                program.backwards_cum.tolist(),
+                slot_now.tolist(),
+                live_now.tolist(),
+                transfer.tolist(),
+            )
+            for pos, (op, arg, cur, occ, fwd, rep, bwd, sb, lb, tr) in enumerate(rows):
+                on_step(
+                    StepStats(
+                        pos=pos,
+                        kind=KIND_BY_OP[op],
+                        arg=arg,
+                        cursor=cur,
+                        occupied_slots=occ,
+                        forward_steps=fwd,
+                        replay_steps=rep,
+                        backwards_done=bwd,
+                        slot_bytes=sb,
+                        live_bytes=lb,
+                        transfer_seconds=tr,
+                        started=now(),
+                    )
+                )
 
-    def restore(self, slot: int, index: int) -> float:
-        self._cursor = index
-        self._charge()
-        return 0.0
-
-    def free(self, slot: int, index: int) -> float:
-        del self._slots[slot]
-        self._charge()
-        return 0.0
-
-    def adjoint(self, step: int) -> tuple[float, float]:
-        # The youturn leaves the cursor at x_{step-1}, where it already is.
-        self._charge()
-        return self.spec.fwd_cost[step - 1], self.spec.bwd_cost[step - 1]
+        return RunStats(
+            strategy=program.strategy,
+            length=program.length,
+            forward_steps=program.forward_steps,
+            forward_cost=forward_cost,
+            replay_steps=int(steps.size),
+            replay_cost=replay_cost,
+            backward_cost=backward_cost,
+            executions=program.executions,
+            peak_slot_bytes=peak_slot_bytes,
+            peak_bytes=peak_bytes,
+            peak_slots=program.peak_slots,
+            snapshots_taken=program.snapshots_taken,
+            restores=program.restores,
+            transfer_seconds=_total(transfer),
+            tiers=tiers,
+            compression=compression,
+        )

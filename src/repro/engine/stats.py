@@ -48,6 +48,8 @@ class StepStats:
     #: storage transfer seconds charged by this action (tiered backends)
     transfer_seconds: float
     #: monotonic clock reading taken just before the action executed
+    #: (per-action backends), or as the step was emitted (the analytic
+    #: pass, which prices the whole program first)
     started: float
 
 
@@ -126,7 +128,8 @@ class RunStats:
     #: peak bytes held in checkpoint slots (excluding the cursor)
     peak_slot_bytes: int
     #: peak bytes including the cursor's activation (and live gradients
-    #: for tensor backends)
+    #: for tensor backends); every occupied slot counts, paged (disk
+    #: tier) slots included
     peak_bytes: int
     #: maximum number of simultaneously occupied slots
     peak_slots: int

@@ -11,11 +11,13 @@ violation raises :class:`~repro.errors.ExecutionError` with one
 canonical message per rule, before ``backend.begin(program)`` — an
 invalid schedule never reaches the backend.
 
-Second, one checkless loop dispatches the program's int opcodes to the
-backend, with every operand precomputed at compile time.  On an
-untraced plain :class:`~repro.engine.sim.SimBackend` the whole program
-is instead evaluated in a handful of NumPy array passes
-(:func:`~repro.engine.program.run_compiled_sim`).
+Second, the program runs.  An analytic backend
+(:class:`~repro.engine.sim.SimBackend` and its tiered and compressed
+configurations) evaluates the whole program in a handful of NumPy array
+passes (:meth:`~repro.engine.sim.SimBackend.run`), traced or not.  Any
+other backend (:class:`~repro.engine.tensor.TensorBackend`) is driven by
+one checkless loop that dispatches the program's int opcodes to its
+per-action methods, with every operand precomputed at compile time.
 
 ``compiled=`` supplies the program; it must have been compiled from
 the same actions as ``schedule``.  Without it, the schedule is compiled
@@ -26,8 +28,9 @@ program never shows in the schedule's ``==``, ``hash`` or pickles.
 
 The optional ``on_step`` callback receives a
 :class:`~repro.engine.stats.StepStats` after every action.  When it is
-``None`` the loop skips all per-step bookkeeping, so an untraced run
-pays no observation overhead.
+``None`` all per-step bookkeeping is skipped, so an untraced run pays
+no observation overhead.  The analytic pass emits its steps once the
+whole program is priced, so their ``started`` is the clock at emission.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .program import (
     OP_SNAPSHOT,
     CompiledProgram,
     compile_schedule,
-    run_compiled_sim,
 )
 from .sim import SimBackend
 from .stats import RunStats, StepStats
@@ -86,7 +88,7 @@ def _program_for(schedule: Schedule, compiled: CompiledProgram | None) -> Compil
 
 def execute(
     schedule: Schedule,
-    backend: Backend,
+    backend: Backend | SimBackend,
     *,
     on_step: StepHook | None = None,
     compiled: CompiledProgram | None = None,
@@ -102,8 +104,8 @@ def execute(
     if schedule.length != l:
         raise ExecutionError(f"schedule length {schedule.length} != chain length {l}")
     program = _program_for(schedule, compiled)
-    if on_step is None and type(backend) is SimBackend:
-        return run_compiled_sim(program, backend)
+    if isinstance(backend, SimBackend):
+        return backend.run(program, on_step)
 
     ops = program.ops_list
     args = program.args_list

@@ -69,10 +69,10 @@ class RunlogTracer(Tracer):
 
     Instrumented code gates its high-frequency recording on
     ``tracer.enabled`` (one ``record()`` per schedule action, one event
-    per abstract sim step, which also moves a sim run off its
-    vectorized path onto per-action dispatch).  ``RunlogTracer``
-    reports ``enabled = False`` — those branches stay free, and sim
-    runs stay vectorized — while still buffering every coarse
+    per abstract sim step, each built from a per-action
+    :class:`~repro.engine.stats.StepStats`).  ``RunlogTracer`` reports
+    ``enabled = False`` — those branches stay free, and sim runs emit
+    no steps — while still buffering every coarse
     ``with span(...)`` block and ``event()`` call, which is exactly the
     granularity a campaign runlog wants.
     """

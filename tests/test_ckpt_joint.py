@@ -25,6 +25,7 @@ from repro.edge.storage import EMMC, SD_CARD
 from repro.engine import TieredBackend, execute
 from repro.errors import PlanningError, ScheduleError
 
+from . import analytic_backend_reference as frozen
 from . import multilevel_reference as ref
 from .vm_reference import reference_execute
 
@@ -226,16 +227,21 @@ class TestScheduleAndProgram:
 
     @pytest.mark.parametrize("l,c", ((9, 2), (24, 3)))
     def test_interpreted_vs_compiled_byte_identical(self, l, c):
+        import repro.engine as engine
         from repro.engine.program import compile_schedule
-        from repro.engine.sim import SimBackend
-        from repro.engine.tiered import TieredBackend
         from repro.engine.vm import execute
 
         spec = unit_spec(l)
         sched = joint_schedule(spec, c, UnitCostObjective(spec, 1.0, 1.0))
         prog = compile_schedule(sched)
-        for make in (lambda: SimBackend(spec), lambda: TieredBackend(spec, disk=SD_CARD)):
-            assert reference_execute(sched, make()) == execute(sched, make(), compiled=prog)
+        # ``make(m)``: the frozen per-action class, or the engine's.
+        for make in (
+            lambda m: m.SimBackend(spec),
+            lambda m: m.TieredBackend(spec, disk=SD_CARD),
+        ):
+            assert reference_execute(sched, make(frozen)) == execute(
+                sched, make(engine), compiled=prog
+            )
 
 
 class TestFigure1Dominance:

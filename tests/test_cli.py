@@ -1,5 +1,7 @@
 """The command-line interface regenerates every artifact."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -337,6 +339,20 @@ class TestExecCommand:
         assert "memory tier:" in out
         assert "disk   tier:" in out
         assert "[emmc]" in out
+
+    def test_compile_runs_the_compressed_schedule_on_the_codec(self, capsys):
+        plain = run(capsys, "exec", "--length", "12", "--slots", "3", "--compile")
+        out = run(
+            capsys, "exec", "--length", "12", "--slots", "3", "--compile",
+            "--compress", "bittrain",
+        )
+        # The lifted schedule's slot ids are in the compressed band, and
+        # the codec shrinks the slots' share of the live bytes.
+        assert "100000000" in out and "100000000" not in plain
+        peak = re.compile(r"peak\s+: 3 slots, ([\d,]+) live bytes")
+        plain_peak = int(peak.search(plain).group(1).replace(",", ""))
+        zipped_peak = int(peak.search(out).group(1).replace(",", ""))
+        assert zipped_peak < plain_peak
 
     def test_infeasible_strategy_reports_cleanly(self, capsys):
         out = run(capsys, "exec", "--strategy", "store_all", "--length", "10", "--slots", "2")

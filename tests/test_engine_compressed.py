@@ -45,6 +45,7 @@ from repro.edge.storage import (
     CompressionModel,
     compression_models,
 )
+import repro.engine as engine
 from repro.engine import (
     CompressedBackend,
     SimBackend,
@@ -54,6 +55,7 @@ from repro.engine import (
     execute,
 )
 
+from . import analytic_backend_reference as frozen
 from .vm_reference import reference_execute
 
 FAMILIES = available_strategies()
@@ -160,14 +162,16 @@ class TestCompressedDifferential:
         assert decompile(compile_schedule(sch)) == sch
         program = compile_schedule(sch)
         for spec in (ChainSpec.homogeneous(l), _random_spec(l, seed)):
+            # ``make(m)`` builds the backend from module ``m``: the frozen
+            # per-action classes for the interpreter, the engine's for execute.
             backends = (
-                lambda: SimBackend(spec),
-                lambda: TieredBackend(spec, disk=SD_CARD),
-                lambda: CompressedBackend(spec, BITTRAIN_SPARSE, disk=SD_CARD),
+                lambda m: m.SimBackend(spec),
+                lambda m: m.TieredBackend(spec, disk=SD_CARD),
+                lambda m: m.CompressedBackend(spec, BITTRAIN_SPARSE, disk=SD_CARD),
             )
             for make in backends:
-                interpreted = reference_execute(sch, make())
-                compiled = execute(sch, make(), compiled=program)
+                interpreted = reference_execute(sch, make(frozen))
+                compiled = execute(sch, make(engine), compiled=program)
                 assert compiled == interpreted
                 assert compiled.tiers == interpreted.tiers
                 assert compiled.compression == interpreted.compression

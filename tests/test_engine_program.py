@@ -41,6 +41,7 @@ from repro.engine import (
 from repro.errors import ExecutionError, ScheduleError
 from repro.lab import ArtifactStore
 
+from . import analytic_backend_reference as frozen
 from .vm_reference import reference_execute
 
 FAMILIES = available_strategies()
@@ -115,7 +116,7 @@ class TestDifferential:
         sch = strat.build_schedule(l, slots)
         program = compile_schedule(sch)
         for spec in (ChainSpec.homogeneous(l), _random_spec(l, seed)):
-            interpreted = reference_execute(sch, SimBackend(spec))
+            interpreted = reference_execute(sch, frozen.SimBackend(spec))
             assert execute(sch, SimBackend(spec), compiled=program) == interpreted
             assert execute(sch, SimBackend(spec)) == interpreted
 
@@ -128,7 +129,7 @@ class TestDifferential:
         sch = strat.build_schedule(l, slots)
         program = compile_schedule(sch)
         spec = ChainSpec.homogeneous(l, act_bytes=4096)
-        interpreted = reference_execute(sch, TieredBackend(spec, disk=SD_CARD))
+        interpreted = reference_execute(sch, frozen.TieredBackend(spec, disk=SD_CARD))
         compiled = execute(
             sch, TieredBackend(spec, disk=SD_CARD), compiled=program
         )
@@ -140,7 +141,7 @@ class TestDifferential:
         program = compile_schedule(sch)
         spec = ChainSpec.homogeneous(13)
         interp_steps, comp_steps = [], []
-        a = reference_execute(sch, SimBackend(spec), on_step=interp_steps.append)
+        a = reference_execute(sch, frozen.SimBackend(spec), on_step=interp_steps.append)
         b = execute(
             sch, SimBackend(spec), on_step=comp_steps.append, compiled=program
         )
@@ -226,7 +227,7 @@ class TestErrorParity:
     @pytest.mark.parametrize("bad", BAD)
     def test_same_message_compiled_and_interpreted(self, bad, rng):
         with pytest.raises(ExecutionError) as interpreted:
-            reference_execute(bad, SimBackend(ChainSpec.homogeneous(bad.length)))
+            reference_execute(bad, frozen.SimBackend(ChainSpec.homogeneous(bad.length)))
         with pytest.raises(ExecutionError) as compiled:
             compile_schedule(bad)
         assert str(compiled.value) == str(interpreted.value)
